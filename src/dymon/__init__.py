@@ -8,6 +8,8 @@ straight-line attack language drives replays and fuzzing against the
 bundled protocols.
 """
 
+from types import ModuleType as _ModuleType
+
 from .attacker import FAILED, PROTOCOLS, RunResult, interface_for, run_attack
 from .backend import RandomSource, hmac_sha1, sdec, senc
 from .dsl import (
@@ -36,7 +38,6 @@ from .levels import (
     explain,
     hmac_comp,
     level,
-    nonce_comp,
     senc_comp,
     weak_secrecy_violations,
 )
@@ -60,7 +61,6 @@ from .terms import (
     Literal,
     Log,
     New,
-    Nonce,
     Pair,
     PresharedKey,
     PrincipalKey,
@@ -85,87 +85,8 @@ from .wire import pair_decode, pair_encode
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssumptionFailure",
-    "AssumptionKind",
-    "AttackProgram",
-    "AttackSyntaxError",
-    "AttackerGuess",
-    "AuthFailureError",
-    "Bad",
-    "CORPUS",
-    "Channel",
-    "ContractViolationError",
-    "Convention",
-    "CryptoState",
-    "DymonError",
-    "EXIT_CODES",
-    "EncodingError",
-    "Event",
-    "FAILED",
-    "FuzzResult",
-    "HONEST_DRIVERS",
-    "Hmac",
-    "HmacKey",
-    "Initiator",
-    "Level",
-    "Literal",
-    "Log",
-    "MalformedPairError",
-    "New",
-    "Nonce",
-    "OR_HONEST",
-    "PROTOCOLS",
-    "Pair",
-    "PresharedKey",
-    "PrincipalKey",
-    "RPC_HONEST",
-    "RPC_SPLICE",
-    "RandomSource",
-    "RepresentationTable",
-    "Request",
-    "Responder",
-    "Response",
-    "RunResult",
-    "Runtime",
-    "SEnc",
-    "SEncKey",
-    "STANDARD",
-    "SessionKey",
-    "Signature",
-    "TAG_REQUEST",
-    "TAG_RESPONSE",
-    "TableAuditError",
-    "Term",
-    "TermSyntaxError",
-    "Usage",
-    "ValueKind",
-    "Verdict",
-    "VerdictKind",
-    "can_hmac",
-    "can_senc",
-    "explain",
-    "format_attack",
-    "fuzz_attacks",
-    "generate_program",
-    "hmac_comp",
-    "hmac_sha1",
-    "initial_state",
-    "interface_for",
-    "level",
-    "nonce_comp",
-    "parse_attack",
-    "parse_event",
-    "parse_term",
-    "render_event",
-    "render_term",
-    "render_usage",
-    "run_attack",
-    "sdec",
-    "senc",
-    "senc_comp",
-    "validate_attack",
-    "weak_secrecy_violations",
-    "pair_decode",
-    "pair_encode",
-]
+# every public name imported above; the submodules are not part of it
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

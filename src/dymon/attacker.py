@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .backend import RandomSource
-from .errors import ContractViolationError, MalformedPairError
+from .errors import ContractViolationError, MalformedPairError, TableAuditError
 from .levels import Level, level
 from .runtime import Runtime, Verdict, _StopRun
 from .state import CryptoState, initial_state
@@ -57,7 +57,8 @@ def _as_bytespub(rt: Runtime, data: bytes) -> bytes:
     # every bytespub the attacker holds is registered and public; this is
     # an internal invariant of the interface, not a caller obligation
     t = rt.cs.term_of(data)
-    assert t is not None and level(Level.LOW, t, rt.cs.log), "non-public bytespub"
+    if t is None or not level(Level.LOW, t, rt.cs.log):
+        raise TableAuditError("attacker holds a non-public bytespub")
     return data
 
 
@@ -109,6 +110,19 @@ def _att_read(rt: Runtime, ch):
     return _as_bytespub(rt, rt.att_read(ch))
 
 
+# the Dolev-Yao core both protocol interfaces start with
+_SHARED_INTERFACE = {
+    "att_toBytespub": (Signature((_S,), _B), _to_bytespub),
+    "att_pair": (Signature((_B, _B), _B), _att_pair),
+    "att_fst": (Signature((_B,), _B), _att_fst),
+    "att_snd": (Signature((_B,), _B), _att_snd),
+    "att_hmacsha1": (Signature((_B, _B), _B), _att_hmac),
+    "att_hmacsha1Verify": (Signature((_B, _B, _B), None), _att_hmac_verify),
+    "att_channel_write": (Signature((_C, _B), None), _att_write),
+    "att_channel_read": (Signature((_C,), _B), _att_read),
+}
+
+
 # -- RPC interface ------------------------------------------------------------
 
 
@@ -135,14 +149,7 @@ def _rpc_compromise(side: str):
 
 
 _RPC_INTERFACE = {
-    "att_toBytespub": (Signature((_S,), _B), _to_bytespub),
-    "att_pair": (Signature((_B, _B), _B), _att_pair),
-    "att_fst": (Signature((_B,), _B), _att_fst),
-    "att_snd": (Signature((_B,), _B), _att_snd),
-    "att_hmacsha1": (Signature((_B, _B), _B), _att_hmac),
-    "att_hmacsha1Verify": (Signature((_B, _B, _B), None), _att_hmac_verify),
-    "att_channel_write": (Signature((_C, _B), None), _att_write),
-    "att_channel_read": (Signature((_C,), _B), _att_read),
+    **_SHARED_INTERFACE,
     "att_setup": (Signature((_B, _B), _SES), _rpc_setup),
     "att_run_client": (Signature((_SES, _B), None), _rpc_run_client),
     "att_run_server": (Signature((_SES,), None), _rpc_run_server),
@@ -180,14 +187,7 @@ def _or_compromise(rt: Runtime, ses, principal: bytes):
 
 
 _OR_INTERFACE = {
-    "att_toBytespub": (Signature((_S,), _B), _to_bytespub),
-    "att_pair": (Signature((_B, _B), _B), _att_pair),
-    "att_fst": (Signature((_B,), _B), _att_fst),
-    "att_snd": (Signature((_B,), _B), _att_snd),
-    "att_hmacsha1": (Signature((_B, _B), _B), _att_hmac),
-    "att_hmacsha1Verify": (Signature((_B, _B, _B), None), _att_hmac_verify),
-    "att_channel_write": (Signature((_C, _B), None), _att_write),
-    "att_channel_read": (Signature((_C,), _B), _att_read),
+    **_SHARED_INTERFACE,
     "att_or_setup": (Signature((_B, _B), _SES), _or_setup),
     "att_run_initiator": (Signature((_SES,), None), _or_run("initiator")),
     "att_run_responder": (Signature((_SES,), None), _or_run("responder")),

@@ -5,8 +5,8 @@ holds for t at level lv over the given log.  Low means attacker-knowable;
 everything Low is also High.  The recursion is structural on the term head:
 
   Literal:   some New event created it; attacker guesses are both levels,
-             keys and nonces are High, and Low exactly when the matching
-             compromise condition holds.
+             keys are High, and Low exactly when the matching compromise
+             condition holds.
   Pair:      both components at the same level.
   Hmac:      either the payload is sayable under the key's usage and the
              payload itself has the level, or key and payload are both Low.
@@ -77,8 +77,6 @@ def _decide(lv: Level, t: Term, log: Log) -> bool:
                 return True
             if isinstance(u, SEncKey) and _enc_usage_comp(u.usage, log):
                 return True
-            # Nonce usages would require a compromise condition that is
-            # constantly false, so they contribute nothing at Low.
         return False
     if isinstance(t, Pair):
         return level(lv, t.fst, log) and level(lv, t.snd, log)
@@ -171,10 +169,6 @@ def senc_comp(k: Term, log: Log) -> bool:
         isinstance(u, SEncKey) and _enc_usage_comp(u.usage, log)
         for u in log.usages_of(k)
     )
-
-
-def nonce_comp(k: Term, log: Log) -> bool:
-    return False
 
 
 # ---------------------------------------------------------------------------

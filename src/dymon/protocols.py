@@ -48,7 +48,6 @@ from .terms import (
     TAG_RESPONSE,
     Term,
 )
-from .wire import bytes_equal
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +119,7 @@ def setup_rpc(rt: Runtime, client_pub: bytes, server_pub: bytes,
     key = cs.w_fresh(HmacKey(PresharedKey(t_c, t_s)), DEFAULT_KEY_LEN, rt.rand)
     if key is None:
         return None
-    n = rt._spawned + len(rt.roles) + 1
+    n = rt.next_session()
     return RpcSession(
         client_pub, server_pub, t_c, t_s, key,
         Channel(f"client{n}"), Channel(f"server{n}"), flawed,
@@ -139,7 +138,7 @@ def setup_or(rt: Runtime, a_pub: bytes, b_pub: bytes) -> OrSession | None:
     key_b = cs.w_fresh(SEncKey(PrincipalKey(t_b)), DEFAULT_KEY_LEN, rt.rand)
     if key_b is None:
         return None
-    n = rt._spawned + len(rt.roles) + 1
+    n = rt.next_session()
     return OrSession(
         a_pub, b_pub, t_a, t_b, key_a, key_b,
         Channel(f"initiator{n}"), Channel(f"responder{n}"), Channel(f"keyserver{n}"),
@@ -231,11 +230,7 @@ def or_initiator(rt: Runtime, ses: OrSession):
         kab, x_na = cs.w_destruct(rest2)
     except (AuthFailureError, MalformedPairError):
         return
-    if not (
-        bytes_equal(x_a, ses.a_pub)
-        and bytes_equal(x_b, ses.b_pub)
-        and bytes_equal(x_na, na)
-    ):
+    if not (x_a == ses.a_pub and x_b == ses.b_pub and x_na == na):
         return
     t_kab = cs.term_of(kab)
     rt.assert_event(
@@ -254,9 +249,9 @@ def or_responder(rt: Runtime, ses: OrSession):
     except MalformedPairError:
         return
     # refuse sessions that name one principal on both sides
-    if bytes_equal(x_a, x_b):
+    if x_a == x_b:
         return
-    if not (bytes_equal(x_a, ses.a_pub) and bytes_equal(x_b, ses.b_pub)):
+    if not (x_a == ses.a_pub and x_b == ses.b_pub):
         return
     nb = cs.w_to_string(rt.rand.draw(DEFAULT_KEY_LEN))
     if nb is None:
@@ -274,11 +269,7 @@ def or_responder(rt: Runtime, ses: OrSession):
         kab, y_nb = cs.w_destruct(rest2)
     except (AuthFailureError, MalformedPairError):
         return
-    if not (
-        bytes_equal(y_a, x_a)
-        and bytes_equal(y_b, x_b)
-        and bytes_equal(y_nb, nb)
-    ):
+    if not (y_a == x_a and y_b == x_b and y_nb == nb):
         return
     t_kab = cs.term_of(kab)
     rt.assert_event(
@@ -298,9 +289,9 @@ def or_server(rt: Runtime, ses: OrSession):
         z_na, z_nb = cs.w_destruct(rest2)
     except MalformedPairError:
         return
-    if bytes_equal(z_a, z_b):
+    if z_a == z_b:
         return
-    if not (bytes_equal(z_a, ses.a_pub) and bytes_equal(z_b, ses.b_pub)):
+    if not (z_a == ses.a_pub and z_b == ses.b_pub):
         return
     kab = cs.w_fresh(HmacKey(SessionKey(ses.t_a, ses.t_b)), DEFAULT_KEY_LEN, rt.rand)
     if kab is None:
@@ -317,10 +308,10 @@ def or_server(rt: Runtime, ses: OrSession):
 
 
 def compromise_or(rt: Runtime, ses: OrSession, principal_pub: bytes) -> bytes | None:
-    if bytes_equal(principal_pub, ses.a_pub):
+    if principal_pub == ses.a_pub:
         rt.cs.log_event(Bad(ses.t_a))
         return ses.key_a
-    if bytes_equal(principal_pub, ses.b_pub):
+    if principal_pub == ses.b_pub:
         rt.cs.log_event(Bad(ses.t_b))
         return ses.key_b
     return None

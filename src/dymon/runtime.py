@@ -114,8 +114,14 @@ class Runtime:
         self.suppressed: list[tuple[str, str]] = []
         self._sched = random.Random(seed ^ 0x5EED)
         self._spawned = 0
+        self._sessions = 0
 
     # -- roles --------------------------------------------------------------
+
+    def next_session(self) -> int:
+        """Number naming a new session's channels, unique within the run."""
+        self._sessions += 1
+        return self._sessions
 
     def spawn(self, name: str, gen: Iterator) -> RoleTask:
         self._spawned += 1
@@ -225,6 +231,7 @@ class Runtime:
                 self.drain()
             except _StopRun:
                 pass
+        self.cs.rescan()
         if self.verdict is not None:
             return self.verdict
         if self.cs.failure is not None:

@@ -3,8 +3,9 @@
 Every byte array that crosses the wrapper surface is *registered*: mapped
 to the symbolic term it represents.  The table is a bijection, literals
 map to their own bytes, and every registered term is derivably High; the
-soundness argument leans on all three, so test builds re-audit them after
-every wrapper call.
+soundness argument leans on all three, so they are audited: after every
+wrapper call for the entries that call added, and once over the whole
+table when the run ends.
 
 Registration is where the symbolic fiction meets reality.  If two distinct
 terms ever produce the same bytes (or one term two byte strings), the
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional
 
 from . import backend
@@ -47,7 +49,7 @@ from .terms import (
     Usage,
     render_term,
 )
-from .wire import bytes_equal, pair_decode, pair_encode
+from .wire import pair_decode, pair_encode
 
 
 class AssumptionKind(enum.Enum):
@@ -80,11 +82,14 @@ class RepresentationTable:
 class CryptoState:
     """Log + table + sticky assumption failures, with the wrapper surface.
 
-    audit modes: "full" re-checks the whole table after every wrapper call,
-    "delta" checks only what the call touched (growth is structural), and
-    "off" disables the hook.  Registration-time checks (term High, literal
-    transparency) stay on in every mode; they guard runtime soundness, not
-    test instrumentation.
+    audit modes: "full" checks, after every wrapper call, that nothing
+    shrank, that the log is good, that both table sides have the same size,
+    and that the entries added since the last audit are bijective,
+    transparent and High; ``rescan`` repeats the entry checks over the whole
+    table once a run ends.  Older entries need no re-check between calls
+    because High is monotone in the log.  "off" disables both.
+    Registration-time checks (term High, literal transparency) stay on in
+    every mode; they guard runtime soundness, not test instrumentation.
     """
 
     def __init__(
@@ -93,7 +98,7 @@ class CryptoState:
         mac_fn: Optional[Callable[[bytes, bytes], bytes]] = None,
         audit: str = "full",
     ):
-        if audit not in ("full", "delta", "off"):
+        if audit not in ("full", "off"):
             raise ValueError(f"unknown audit mode {audit!r}")
         self.log = Log.empty(convention)
         self.table = RepresentationTable()
@@ -250,7 +255,7 @@ class CryptoState:
         tm = self._require_registered(msg, "hmacsha1_verify")
         self._require_registered(mac, "hmacsha1_verify")
         digest = self.mac_fn(key, msg)
-        ok = bytes_equal(digest, mac)
+        ok = digest == mac
         if ok:
             expected = Hmac(tk, tm)
             if level(Level.HIGH, expected, self.log):
@@ -323,27 +328,37 @@ class CryptoState:
 
     def _post_op(self):
         self.wrapper_calls += 1
-        if self.audit == "off" or self.failures:
-            self._snapshot()
-            return
-        if len(self.table) < self._last_table_len or len(self.log) < self._last_log_len:
-            raise TableAuditError("state shrank")
+        if self.audit == "full" and not self.failures:
+            if len(self.table) < self._last_table_len or len(self.log) < self._last_log_len:
+                raise TableAuditError("state shrank")
+            self._check(len(self.table) - self._last_table_len)
+        self._snapshot()
+
+    def rescan(self):
+        """Audit every table entry; the runtime calls this once, at the end of a run."""
+        if self.audit == "full":
+            self._check(len(self.table))
+
+    def _check(self, newest: int):
+        """Check log goodness, the table sizes, and the newest table entries.
+
+        Dicts keep insertion order and registration never deletes, so the
+        entries added since the last audit are the tail of ``by_bytes``.
+        """
+        bb, bt = self.table.by_bytes, self.table.by_term
         if not self.log.good:
             raise TableAuditError("log lost goodness")
-        if self.audit == "full":
-            bb, bt = self.table.by_bytes, self.table.by_term
-            if len(bb) != len(bt):
-                raise TableAuditError("table sides disagree in size")
-            for data, t in bb.items():
-                if bt.get(t) != data:
-                    raise TableAuditError("table is not a bijection")
-                if isinstance(t, Literal) and t.data != data:
-                    raise TableAuditError("literal transparency broken")
-                if not level(Level.HIGH, t, self.log):
-                    raise TableAuditError(
-                        f"registered term not High: {render_term(t)}"
-                    )
-        self._snapshot()
+        if len(bb) != len(bt):
+            raise TableAuditError("table sides disagree in size")
+        for data, t in islice(reversed(bb.items()), newest):
+            if bt.get(t) != data:
+                raise TableAuditError("table is not a bijection")
+            if isinstance(t, Literal) and t.data != data:
+                raise TableAuditError("literal transparency broken")
+            if not level(Level.HIGH, t, self.log):
+                raise TableAuditError(
+                    f"registered term not High: {render_term(t)}"
+                )
 
     def _snapshot(self):
         self._last_table_len = len(self.table)

@@ -68,17 +68,6 @@ class AttackerGuess(Usage):
     pass
 
 
-class NonceUsage:
-    """Uninhabited in both bundled protocols; nonces travel in the clear."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Nonce(Usage):
-    usage: NonceUsage
-
-
 class HmacKeyUsage:
     __slots__ = ()
 
@@ -364,8 +353,6 @@ def render_usage(u: Usage) -> str:
         return f"HmacKey({name}({render_term(inner.a)},{render_term(inner.b)}))"
     if isinstance(u, SEncKey):
         return f"SEncKey(PrincipalKey({render_term(u.usage.principal)}))"
-    if isinstance(u, Nonce):
-        return "Nonce()"
     raise TypeError(f"not a usage: {u!r}")
 
 

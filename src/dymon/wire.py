@@ -27,7 +27,3 @@ def pair_decode(data: bytes) -> tuple[bytes, bytes]:
     if _PREFIX + n > len(data):
         raise MalformedPairError("declared length exceeds buffer")
     return data[_PREFIX : _PREFIX + n], data[_PREFIX + n :]
-
-
-def bytes_equal(b1: bytes, b2: bytes) -> bool:
-    return b1 == b2

@@ -6,16 +6,24 @@ import pytest
 
 from dymon import (
     AttackSyntaxError,
+    HmacKey,
+    Literal,
+    PresharedKey,
     RPC_HONEST,
+    RandomSource,
+    Runtime,
+    TableAuditError,
     ValueKind,
     VerdictKind,
     format_attack,
     generate_program,
+    initial_state,
     interface_for,
     parse_attack,
     run_attack,
     validate_attack,
 )
+from dymon.attacker import _as_bytespub
 from dymon.dsl import AssignString, Call, CallAssign, Decl
 
 
@@ -253,3 +261,15 @@ def test_report_shape():
     assert doc["exit_code"] == 0
     assert isinstance(doc["events"], list)
     assert doc["assertions_checked"] == 2
+
+
+def test_held_bytespub_that_is_not_public_is_an_audit_error():
+    cs = initial_state()
+    rt = Runtime(cs, protocol="rpc-correct", seed=0, rand=RandomSource(0))
+    held = cs.w_to_string(b"held")
+    assert _as_bytespub(rt, held) == held
+    # corrupt the binding so the held bytes stand for a secret key
+    key = cs.w_fresh(HmacKey(PresharedKey(Literal(b"A"), Literal(b"B"))), 16, rt.rand)
+    cs.table.by_bytes[held] = cs.term_of(key)
+    with pytest.raises(TableAuditError):
+        _as_bytespub(rt, held)

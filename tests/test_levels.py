@@ -31,7 +31,6 @@ from dymon import (
     explain,
     hmac_comp,
     level,
-    nonce_comp,
     senc_comp,
     weak_secrecy_violations,
 )
@@ -236,8 +235,6 @@ def test_comp_predicates():
     log2 = log.add(New(ek, SEncKey(PrincipalKey(C))))
     assert not senc_comp(ek, log2)
     assert senc_comp(ek, log2.add(Bad(C)))
-    assert not nonce_comp(K, log)
-    assert not nonce_comp(K, log.add(Bad(A)).add(Bad(B)).add(Bad(C)))
 
 
 # -- sweeps and debugging ------------------------------------------------------

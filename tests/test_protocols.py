@@ -107,6 +107,30 @@ att_run_server(s)
     assert r.roles_spawned == 0
 
 
+def test_sessions_set_up_back_to_back_get_their_own_channels():
+    script = """\
+let a : string
+a = "Alice"
+let b : string
+b = "Bob"
+let alice : bytespub
+alice = att_toBytespub(a)
+let bob : bytespub
+bob = att_toBytespub(b)
+let s1 : session
+s1 = att_setup(alice, bob)
+let s2 : session
+s2 = att_setup(alice, bob)
+let c2 : channel
+c2 = att_getChannel_client(s2)
+let x : bytespub
+x = att_channel_read(c2)
+"""
+    r = run_attack(script, "rpc-correct", seed=0)
+    assert r.verdict.kind is VerdictKind.DEADLOCK
+    assert r.verdict.location == "att_channel_read[client2]"
+
+
 def test_rpc_compromise_turns_failures_into_allowed_behavior():
     # compromise the server, then splice: the client assertion holds via the
     # Bad disjunct, so the run is clean

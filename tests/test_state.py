@@ -2,28 +2,37 @@
 
 import pytest
 
+import dymon.state
 from dymon import (
     AssumptionKind,
     AttackerGuess,
     Bad,
     ContractViolationError,
+    CryptoState,
     Hmac,
     HmacKey,
     Level,
     Literal,
     New,
+    PROTOCOLS,
     Pair,
     PresharedKey,
     PrincipalKey,
+    RPC_HONEST,
+    RPC_SPLICE,
     RandomSource,
     Request,
     SEncKey,
     TAG_REQUEST,
+    TAG_RESPONSE,
     TableAuditError,
+    VerdictKind,
+    fuzz_attacks,
     hmac_sha1,
     initial_state,
     level,
     pair_encode,
+    run_attack,
 )
 
 A, B = Literal(b"Alice"), Literal(b"Bob")
@@ -297,6 +306,151 @@ def test_register_refuses_underivable_term():
 def test_unknown_audit_mode_rejected():
     with pytest.raises(ValueError):
         initial_state(audit="sometimes")
+    with pytest.raises(ValueError):
+        initial_state(audit="delta")
+
+
+def test_audit_rejects_inconsistent_new_entry():
+    cs = initial_state()
+    cs.table.by_bytes[b"zz"] = Literal(b"yy")  # both sides, not transparent
+    cs.table.by_term[Literal(b"yy")] = b"zz"
+    with pytest.raises(TableAuditError, match="transparency"):
+        cs.w_to_string(b"poke")
+
+
+def test_audit_rejects_new_entry_that_is_not_high():
+    cs = initial_state()
+    cs.table.by_bytes[b"zz"] = Literal(b"zz")  # both sides, but never created
+    cs.table.by_term[Literal(b"zz")] = b"zz"
+    with pytest.raises(TableAuditError, match="not High"):
+        cs.w_to_string(b"poke")
+
+
+def test_old_entry_edited_in_place_is_caught_by_the_rescan():
+    cs = initial_state()
+    cs.w_to_string(b"poke")
+    cs.table.by_term[Literal(TAG_RESPONSE)] = b"forged"
+    cs.w_to_string(b"again")  # the per-call audit checks only new entries
+    with pytest.raises(TableAuditError, match="bijection"):
+        cs.rescan()
+
+
+_EXCHANGE = """\
+let r{i} : string
+r{i} = "Request{i}"
+let arg{i} : bytespub
+arg{i} = att_toBytespub(r{i})
+att_run_server(s)
+att_run_client(s, arg{i})
+let req{i} : bytespub
+req{i} = att_channel_read(clientC)
+att_channel_write(serverC, req{i})
+let resp{i} : bytespub
+resp{i} = att_channel_read(serverC)
+att_channel_write(clientC, resp{i})
+"""
+
+
+# RPC_HONEST up to its first role start: principals, session, channels
+_RPC_SETUP = RPC_HONEST.partition("att_run_server(s)\n")[0]
+# a read on the client channel with no role running
+_RPC_DEADLOCK = _RPC_SETUP + "let x : bytespub\nx = att_channel_read(clientC)\n"
+
+
+def rpc_exchanges(k):
+    """Honest relay of k request/response exchanges on one RPC session."""
+    return _RPC_SETUP + "".join(_EXCHANGE.format(i=i) for i in range(k))
+
+
+def test_full_rescan_accepts_every_state_the_incremental_audit_accepts(monkeypatch):
+    incremental = CryptoState._post_op
+    rescans = 0
+
+    def audit_then_rescan(self):
+        nonlocal rescans
+        incremental(self)
+        self.rescan()
+        rescans += 1
+
+    monkeypatch.setattr(CryptoState, "_post_op", audit_then_rescan)
+    for protocol in PROTOCOLS:
+        r = fuzz_attacks(protocol, count=10_000, max_len=16, seed=11)
+        assert sum(r.histogram.values()) == 10_000
+    long_run = run_attack(rpc_exchanges(60), "rpc-correct", seed=3)
+    assert long_run.verdict.kind is VerdictKind.OK
+    assert long_run.assertions_checked == 120
+    assert rescans > 100_000
+
+
+def test_audit_checks_each_entry_once_plus_one_final_rescan(monkeypatch):
+    # the audit decides High through state.level; counting those calls with
+    # the audit on and off isolates the audit's own work
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return level(*args)
+
+    monkeypatch.setattr(dymon.state, "level", counted)
+    text = rpc_exchanges(100)
+    per_mode = {}
+    for audit in ("full", "off"):
+        calls = 0
+        r = run_attack(text, "rpc-correct", seed=3, audit=audit)
+        assert r.verdict.kind is VerdictKind.OK
+        per_mode[audit] = calls
+    assert per_mode["full"] - per_mode["off"] <= 2 * len(r.state.table)
+
+
+def test_run_rescans_the_whole_table_once_whatever_the_verdict(monkeypatch):
+    rescans = []
+    original = CryptoState.rescan
+
+    def recorded(self):
+        rescans.append(len(self.table))
+        original(self)
+
+    monkeypatch.setattr(CryptoState, "rescan", recorded)
+    cases = [
+        (RPC_HONEST, "rpc-correct", {}, VerdictKind.OK),
+        (RPC_SPLICE, "rpc-flawed", {}, VerdictKind.ASSERTION_FAILURE),
+        (_RPC_DEADLOCK, "rpc-correct", {}, VerdictKind.DEADLOCK),
+        (RPC_SPLICE, "rpc-flawed", {"mac_fn": lambda k, m: b"\x00"},
+         VerdictKind.ASSUMPTION_FAILURE),
+    ]
+    for text, protocol, kwargs, kind in cases:
+        rescans.clear()
+        r = run_attack(text, protocol, seed=3, **kwargs)
+        assert r.verdict.kind is kind
+        assert rescans == [len(r.state.table)]
+
+
+@pytest.mark.parametrize("protocol, text", [
+    ("rpc-correct", RPC_HONEST),
+    ("rpc-flawed", RPC_SPLICE),
+    ("rpc-correct", _RPC_DEADLOCK),
+])
+def test_old_entry_edited_mid_run_fails_the_run(monkeypatch, protocol, text):
+    # ok, assertion-failure and deadlock runs: an in-place edit of an old
+    # entry slips past the per-call audit and trips the end-of-run rescan
+    incremental, rescan = CryptoState._post_op, CryptoState.rescan
+    reached = []
+
+    def corrupting(self):
+        incremental(self)
+        if self.wrapper_calls == 3:
+            self.table.by_term[Literal(TAG_RESPONSE)] = b"forged"
+
+    def recorded(self):
+        reached.append(self.wrapper_calls)
+        rescan(self)
+
+    monkeypatch.setattr(CryptoState, "_post_op", corrupting)
+    monkeypatch.setattr(CryptoState, "rescan", recorded)
+    with pytest.raises(TableAuditError, match="bijection"):
+        run_attack(text, protocol, seed=3)
+    assert reached and reached[0] > 3
 
 
 def test_dump_shape():
