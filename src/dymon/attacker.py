@@ -15,7 +15,8 @@ script deterministically under the run seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .backend import RandomSource
 from .errors import ContractViolationError, MalformedPairError, TableAuditError
@@ -199,16 +200,26 @@ _OR_INTERFACE = {
 }
 
 
-def interface_for(protocol: str) -> dict[str, Signature]:
-    return {name: sig for name, (sig, _) in _impl_table(protocol).items()}
+def _signatures(table) -> Mapping[str, Signature]:
+    return MappingProxyType({name: sig for name, (sig, _) in table.items()})
 
 
-def _impl_table(protocol: str):
-    if protocol in ("rpc-correct", "rpc-flawed"):
-        return _RPC_INTERFACE
-    if protocol == "otway-rees":
-        return _OR_INTERFACE
-    raise ValueError(f"unknown protocol {protocol!r}")
+# protocol -> (implementation table, read-only signature map), built once
+_RPC = (_RPC_INTERFACE, _signatures(_RPC_INTERFACE))
+_OR = (_OR_INTERFACE, _signatures(_OR_INTERFACE))
+_BY_PROTOCOL = {"rpc-correct": _RPC, "rpc-flawed": _RPC, "otway-rees": _OR}
+
+
+def _lookup(protocol: str):
+    try:
+        return _BY_PROTOCOL[protocol]
+    except KeyError:
+        raise ValueError(f"unknown protocol {protocol!r}") from None
+
+
+def interface_for(protocol: str) -> Mapping[str, Signature]:
+    """The protocol's read-only name -> signature map; the same object every call."""
+    return _lookup(protocol)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +266,10 @@ def run_attack(
     audit: str = "full",
 ) -> RunResult:
     """Execute an attack program against a protocol and judge the run."""
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}")
+    table, interface = _lookup(protocol)
     if isinstance(program, str):
         program = parse_attack(program)
-    table = _impl_table(protocol)
-    validate_attack(program, interface_for(protocol))
+    validate_attack(program, interface)
 
     convention = Convention(response_binds_request=(protocol != "rpc-flawed"))
     cs = initial_state(convention=convention, mac_fn=mac_fn, audit=audit)

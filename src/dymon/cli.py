@@ -30,6 +30,16 @@ from .scripts import HONEST_DRIVERS
 from .terms import Convention, Log, parse_event, parse_term
 
 
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dymon",
@@ -49,8 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fz = sub.add_parser("fuzz", help="fuzz a protocol with generated programs")
     fz.add_argument("protocol", choices=PROTOCOLS)
-    fz.add_argument("--count", type=int, default=1000)
-    fz.add_argument("--max-len", type=int, default=16, dest="max_len")
+    fz.add_argument("--count", type=_non_negative, default=1000)
+    fz.add_argument("--max-len", type=_non_negative, default=16, dest="max_len")
     fz.add_argument("--seed", type=int, default=0)
     fz.add_argument("--out-dir", metavar="DIR",
                     help="directory for counterexample programs")
@@ -72,6 +82,8 @@ def _load_log(path: str) -> Log:
         doc = json.loads(text)
         convention = Convention(bool(doc.get("response_binds_request", True)))
         lines = doc["events"]
+        if not isinstance(lines, list) or not all(isinstance(ln, str) for ln in lines):
+            raise ValueError("'events' must be a list of rendered events")
     else:
         convention = Convention()
         lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -154,7 +166,7 @@ def _cmd_query(args) -> int:
     try:
         log = _load_log(args.logfile)
         term = parse_term(args.term)
-    except (OSError, json.JSONDecodeError, TermSyntaxError, KeyError) as exc:
+    except (OSError, ValueError, TermSyntaxError, KeyError) as exc:
         print(f"query: {exc}", file=sys.stderr)
         return 2
     lv = Level.LOW if args.level == "low" else Level.HIGH

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 from .errors import AttackSyntaxError
 
@@ -101,6 +101,9 @@ _STR_ASSIGN_RE = re.compile(rf"^({_IDENT})\s*=\s*(\".*\")$")
 
 
 def _strip_comment(line: str) -> str:
+    if '"' not in line:
+        # no string literal, so the first # starts the comment
+        return line.split("#", 1)[0].strip()
     out = []
     in_str = False
     i = 0
@@ -203,7 +206,7 @@ def parse_attack(text: str) -> AttackProgram:
 # validation
 
 
-def validate_attack(program: AttackProgram, interface: dict[str, Signature]):
+def validate_attack(program: AttackProgram, interface: Mapping[str, Signature]):
     declared: dict[str, ValueKind] = {}
     assigned: set[str] = set()
     for st in program.statements:

@@ -16,6 +16,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .attacker import interface_for, run_attack
 from .dsl import (
@@ -58,11 +59,30 @@ _WEIGHTS = {
 }
 
 
+# (protocol, kinds with a non-empty pool) -> the callable (fn, sig) entries
+# in interface order and their cumulative pick weights; built on first use,
+# at most 2**len(ValueKind) entries per protocol
+_MENUS: dict[tuple[str, frozenset[ValueKind]], tuple[tuple, tuple[int, ...]]] = {}
+
+
+def _menu(protocol: str, ready: frozenset[ValueKind]) -> tuple[tuple, tuple[int, ...]]:
+    key = (protocol, ready)
+    menu = _MENUS.get(key)
+    if menu is None:
+        fns = tuple(
+            (fn, sig) for fn, sig in interface_for(protocol).items()
+            if all(p in ready for p in sig.params)
+        )
+        menu = _MENUS[key] = (fns, tuple(accumulate(_WEIGHTS.get(fn, 2) for fn, _ in fns)))
+    return menu
+
+
 class _Builder:
     def __init__(self, rng: random.Random):
         self.rng = rng
         self.statements: list[Statement] = []
         self.pools: dict[ValueKind, list[str]] = {k: [] for k in ValueKind}
+        self.ready: frozenset[ValueKind] = frozenset()  # kinds with a non-empty pool
         self._next = 0
         self.commands = 0
 
@@ -70,7 +90,10 @@ class _Builder:
         name = f"v{self._next}"
         self._next += 1
         self.statements.append(Decl(name, kind))
-        self.pools[kind].append(name)
+        pool = self.pools[kind]
+        if not pool:
+            self.ready |= {kind}
+        pool.append(name)
         return name
 
     def emit_string(self, value: bytes) -> str:
@@ -91,7 +114,7 @@ class _Builder:
 
 def generate_program(rng: random.Random, protocol: str, max_len: int) -> AttackProgram:
     """Random well-typed straight-line program with at most max_len commands."""
-    interface = interface_for(protocol)
+    interface_for(protocol)  # unknown protocols fail here, not at the first call
     b = _Builder(rng)
 
     # seed the pools: a couple of principal names and payload words, so the
@@ -102,14 +125,10 @@ def generate_program(rng: random.Random, protocol: str, max_len: int) -> AttackP
         b.emit_string(word)
 
     while b.commands < max_len:
-        callable_fns = [
-            (fn, sig) for fn, sig in interface.items()
-            if all(b.pools[p] for p in sig.params)
-        ]
-        fn, sig = b.rng.choices(
-            callable_fns,
-            weights=[_WEIGHTS.get(fn, 2) for fn, _ in callable_fns],
-        )[0]
+        # cum_weights draws the same random() and picks the same entry as
+        # weights= over the same list would
+        fns, cum = _menu(protocol, b.ready)
+        fn, sig = rng.choices(fns, cum_weights=cum)[0]
         b.emit_call(fn, sig.params, sig.result)
     return AttackProgram(tuple(b.statements))
 
@@ -149,6 +168,8 @@ def fuzz_attacks(
     audit: str = "full",
 ) -> FuzzResult:
     """Run count attack programs against the protocol; corpus first."""
+    if count < 0 or max_len < 0:
+        raise ValueError(f"count and max_len must be >= 0, got {count} and {max_len}")
     rng = random.Random(seed)
     corpus = CORPUS.get(protocol, ())
     histogram: Counter[str] = Counter()

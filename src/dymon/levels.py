@@ -14,8 +14,8 @@ everything Low is also High.  The recursion is structural on the term head:
              usage (and has *some* level, decided at High since Low implies
              High), or key and payload are both Low.
 
-Results are memoized per Log value; logs are immutable so entries never
-need invalidation.
+Results are memoized per Log value, in one dict per level keyed by term;
+logs are immutable so entries never need invalidation.
 """
 
 from __future__ import annotations
@@ -52,17 +52,21 @@ class Level(enum.Enum):
     HIGH = "high"
 
 
+# bound once: looking a member up on an Enum class is a Python-level call
+_LOW = Level.LOW
+_HIGH = Level.HIGH
+
 _MISS = object()
 
 
 def level(lv: Level, t: Term, log: Log) -> bool:
-    key = (lv, t)
-    memo = log._memo
-    cached = memo.get(key, _MISS)
+    # one memo per level, keyed by term alone, so no Enum is ever hashed
+    memo = log._memo_high if lv is _HIGH else log._memo_low
+    cached = memo.get(t, _MISS)
     if cached is not _MISS:
         return cached
     result = _decide(lv, t, log)
-    memo[key] = result
+    memo[t] = result
     return result
 
 
@@ -71,7 +75,7 @@ def _decide(lv: Level, t: Term, log: Log) -> bool:
         for u in log.usages_of(t):
             if isinstance(u, AttackerGuess):
                 return True
-            if lv is Level.HIGH:
+            if lv is _HIGH:
                 return True
             if isinstance(u, HmacKey) and _mac_usage_comp(u.usage, log):
                 return True
@@ -83,11 +87,11 @@ def _decide(lv: Level, t: Term, log: Log) -> bool:
     if isinstance(t, Hmac):
         if can_hmac(t.key, t.msg, log) and level(lv, t.msg, log):
             return True
-        return level(Level.LOW, t.key, log) and level(Level.LOW, t.msg, log)
+        return level(_LOW, t.key, log) and level(_LOW, t.msg, log)
     if isinstance(t, SEnc):
-        if can_senc(t.key, t.body, log) and level(Level.HIGH, t.body, log):
+        if can_senc(t.key, t.body, log) and level(_HIGH, t.body, log):
             return True
-        return level(Level.LOW, t.key, log) and level(Level.LOW, t.body, log)
+        return level(_LOW, t.key, log) and level(_LOW, t.body, log)
     raise TypeError(f"not a term: {t!r}")
 
 

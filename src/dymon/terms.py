@@ -246,7 +246,8 @@ class Log:
         "_set",
         "_usages",
         "_responses",
-        "_memo",
+        "_memo_low",
+        "_memo_high",
     )
 
     def __init__(self, events, eset, usages, responses, good, convention):
@@ -257,7 +258,9 @@ class Log:
         self._set = eset
         self._usages = usages
         self._responses = responses
-        self._memo: dict = {}
+        # level results per term, one dict per level (see levels.level)
+        self._memo_low: dict = {}
+        self._memo_high: dict = {}
 
     @classmethod
     def empty(cls, convention: Convention = STANDARD) -> "Log":

@@ -1,6 +1,7 @@
 """Attack language: grammar items, round trips, interpreter semantics."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,9 @@ from dymon import (
 )
 from dymon.attacker import _as_bytespub
 from dymon.dsl import AssignString, Call, CallAssign, Decl
+from dymon.scripts import CORPUS, HONEST_DRIVERS
+
+ATTACKS = Path(__file__).resolve().parent.parent / "attacks"
 
 
 RPC_IFACE = interface_for("rpc-correct")
@@ -50,6 +54,19 @@ def test_parse_shapes_and_comments():
     ]
     assert p.statements[1].value == b"hi # not a comment"
     assert p.commands == p.statements[1:2] + p.statements[3:]
+
+
+def test_hash_inside_a_string_literal_is_kept():
+    p = parse_attack('let x : string\nx = "a#b"\nlet y : string\ny = "q\\"#"')
+    assert p.statements[1].value == b"a#b"
+    assert p.statements[3].value == b'q"#'
+
+
+def test_comment_after_a_string_literal_is_dropped():
+    p = parse_attack('let x : string\nx = "v"  # c "quoted" # more\nlet y : string # t')
+    assert p.statements == (
+        Decl("x", ValueKind.STRING), AssignString("x", b"v"), Decl("y", ValueKind.STRING),
+    )
 
 
 def test_string_escapes():
@@ -145,8 +162,13 @@ def test_interfaces_expose_expected_names():
 
 
 def test_format_parse_identity_on_bundled_scripts():
-    for text in (RPC_HONEST,):
+    texts = [RPC_HONEST, *HONEST_DRIVERS.values()]
+    texts += [path.read_text() for path in sorted(ATTACKS.glob("*.dsl"))]
+    texts += [prog for progs in CORPUS.values() for prog in progs]
+    assert len(texts) > 4
+    for text in texts:
         p = parse_attack(text)
+        assert p.statements
         assert parse_attack(format_attack(p)) == p
 
 

@@ -147,3 +147,22 @@ def test_fuzz_human_output(capsys):
     assert code == 0
     assert "ran 15 programs against otway-rees" in out
     assert "counterexamples: 0" in out
+
+
+@pytest.mark.parametrize("flag", ["--count", "--max-len"])
+def test_fuzz_rejects_negative_sizes(flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["fuzz", "rpc-flawed", flag, "-5"])
+    assert info.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_query_malformed_dump_exits_two(tmp_path, capsys):
+    for doc in ({"events": [5]}, {"events": "Bad(Literal(0x41))"}, {"events": None}):
+        dump = tmp_path / "log.json"
+        dump.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "query", str(dump), "--level", "low", "--term", "Literal(0x41)"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("query: ")

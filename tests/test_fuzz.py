@@ -1,9 +1,14 @@
 """Fuzz loop: determinism, corpus handling, generation discipline."""
 
+import hashlib
+import json
 import random
+
+import pytest
 
 from dymon import (
     VerdictKind,
+    format_attack,
     fuzz_attacks,
     generate_program,
     interface_for,
@@ -20,6 +25,62 @@ def test_generated_programs_are_well_typed():
             p = generate_program(rng, protocol, max_len=10)
             validate_attack(p, iface)
             assert len(p.commands) <= 10
+
+
+# (protocol, max_len) -> (seed, SHA-256 of the formatted text of the first
+# 300 programs generated from random.Random(seed)); any change to what the
+# generator draws, or in which order, changes these
+PINNED_GENERATION = {
+    ("rpc-correct", 8): (1, "83641c5bacf4c532fbaa1cca62db5921d3b5b91ca06be8c35836d118508425f9"),
+    ("rpc-correct", 16): (2, "107fdc64139664ca9dcc9b1fa5da4aa9cf2bcc8fc32ec79afefe5c24fdef1067"),
+    ("rpc-correct", 64): (3, "89e540513132ec2e0922371dd0fe433737884af243a00662299adf3ee8e6c63a"),
+    ("rpc-flawed", 8): (4, "3468065116294389821bbf8a10bd5f9c6b92f40933c2e0f21d09f236b76fc05f"),
+    ("rpc-flawed", 16): (5, "afb4670d072abd64aa3d93c93f9787874a59ec4c89201aa766c811646163ba02"),
+    ("rpc-flawed", 64): (6, "6533424c2aaa22fccc3ebc22b13ff5d5596cf7f4696ab5bbd2904f961176cede"),
+    ("otway-rees", 8): (7, "fe64bdf219abab8d4cdc279d66e73d36d81023d8b2ef7bc9ec7e1821f0338b1d"),
+    ("otway-rees", 16): (8, "eae91eb0055ce4be11e4a06d2f279c4000706f9d7ac6f0f3e46ec7078c0102e0"),
+    ("otway-rees", 64): (9, "7b4c33a06a26bd1a8d56038590b8ad0ffdae61ed50aabdb937c8c2a43b13bb9d"),
+}
+
+
+@pytest.mark.parametrize("protocol,max_len", sorted(PINNED_GENERATION))
+def test_generation_matches_pinned_digest(protocol, max_len):
+    seed, digest = PINNED_GENERATION[protocol, max_len]
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for _ in range(300):
+        h.update(format_attack(generate_program(rng, protocol, max_len)).encode())
+    assert h.hexdigest() == digest
+
+
+def test_fuzz_histogram_matches_pinned_run():
+    r = fuzz_attacks("otway-rees", 200, 64, seed=5).to_report()
+    assert r["histogram"] == {"deadlock": 141, "ok": 59}
+    assert r["counterexamples"] == [] and r["secrecy_violations"] == []
+
+
+def test_fuzz_report_matches_pinned_run():
+    # histogram, counterexample (program text, seed, verdict) and sweep
+    r = fuzz_attacks("rpc-flawed", 400, 16, seed=7).to_report()
+    del r["elapsed_seconds"]
+    text = json.dumps(r, sort_keys=True)
+    assert r["histogram"] == {"assertion-failure": 1, "deadlock": 203, "ok": 196}
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d3dc575151c6a1422077e6963f50b6e22fdd0271e21d83517dda28c41b7c930f"
+    )
+
+
+def test_interface_is_one_read_only_mapping():
+    for protocol in ("rpc-correct", "rpc-flawed", "otway-rees"):
+        iface = interface_for(protocol)
+        assert interface_for(protocol) is iface
+        with pytest.raises(TypeError):
+            iface["att_pair"] = iface["att_fst"]
+        with pytest.raises(TypeError):
+            del iface["att_pair"]
+    assert interface_for("rpc-correct") is interface_for("rpc-flawed")
+    with pytest.raises(ValueError):
+        interface_for("nosuch")
 
 
 def test_generation_is_deterministic():
@@ -74,3 +135,14 @@ def test_fuzz_report_shape():
     assert doc["protocol"] == "otway-rees"
     assert sum(doc["histogram"].values()) == 10
     assert doc["elapsed_seconds"] >= 0
+
+
+@pytest.mark.parametrize("count,max_len", [(-5, 16), (10, -3), (-1, -1)])
+def test_fuzz_rejects_negative_sizes(count, max_len):
+    with pytest.raises(ValueError):
+        fuzz_attacks("rpc-flawed", count, max_len)
+
+
+def test_fuzz_accepts_zero_sizes():
+    assert fuzz_attacks("rpc-flawed", 0, 16).histogram == {}
+    assert sum(fuzz_attacks("otway-rees", 3, 0).histogram.values()) == 3

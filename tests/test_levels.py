@@ -262,6 +262,24 @@ def test_explain_mentions_the_route():
     assert "owner compromised: false" in "\n".join(lines2)
 
 
+def test_levels_do_not_share_a_memo_in_either_query_order():
+    # term -> (Low, High); a preshared key and pairs over it are High only
+    expected = {
+        K: (False, True),
+        Pair(A, K): (False, True),
+        Hmac(K, Pair(TAG1, REQ)): (True, True),
+        Hmac(K, Pair(A, B)): (False, False),
+    }
+    for order in ((LOW, HIGH), (HIGH, LOW)):
+        log = base_log().add(Request(A, B, REQ))
+        for t, (low, high) in expected.items():
+            answers = {lv: level(lv, t, log) for lv in order}
+            assert answers == {LOW: low, HIGH: high}, (order, t)
+        # asked again, the memoized answers are the same
+        for t, (low, high) in expected.items():
+            assert (level(LOW, t, log), level(HIGH, t, log)) == (low, high)
+
+
 def test_memo_is_per_log_version():
     log = base_log()
     assert not level(LOW, K, log)
