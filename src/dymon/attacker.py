@@ -23,7 +23,7 @@ from .errors import ContractViolationError, MalformedPairError, TableAuditError
 from .levels import Level, level
 from .runtime import Runtime, Verdict, _StopRun
 from .state import CryptoState, initial_state
-from .terms import Convention
+from .terms import Convention, render_event
 from .dsl import (
     AssignString,
     AttackProgram,
@@ -237,8 +237,6 @@ class RunResult:
     roles_spawned: int
 
     def to_report(self) -> dict:
-        from .terms import render_event
-
         return {
             "protocol": self.protocol,
             "seed": self.seed,
@@ -263,7 +261,6 @@ def run_attack(
     *,
     rand: Optional[RandomSource] = None,
     mac_fn=None,
-    audit: str = "full",
 ) -> RunResult:
     """Execute an attack program against a protocol and judge the run."""
     table, interface = _lookup(protocol)
@@ -272,7 +269,7 @@ def run_attack(
     validate_attack(program, interface)
 
     convention = Convention(response_binds_request=(protocol != "rpc-flawed"))
-    cs = initial_state(convention=convention, mac_fn=mac_fn, audit=audit)
+    cs = initial_state(convention=convention, mac_fn=mac_fn)
     rt = Runtime(cs, protocol=protocol, seed=seed, rand=rand)
     env: dict[str, object] = {}
 

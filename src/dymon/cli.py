@@ -101,8 +101,8 @@ def _cmd_run(args) -> int:
         text = HONEST_DRIVERS[args.protocol]
     else:
         try:
-            text = Path(args.script).read_text()
-        except OSError as exc:
+            text = Path(args.script).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"run: cannot read {args.script}: {exc}", file=sys.stderr)
             return 2
     try:
@@ -113,9 +113,13 @@ def _cmd_run(args) -> int:
         return 2
 
     if args.dump:
-        Path(args.dump).write_text(
-            json.dumps(result.state.dump(), indent=2, sort_keys=True) + "\n"
-        )
+        try:
+            Path(args.dump).write_text(
+                json.dumps(result.state.dump(), indent=2, sort_keys=True) + "\n"
+            )
+        except OSError as exc:
+            print(f"run: cannot write {args.dump}: {exc}", file=sys.stderr)
+            return 2
     if args.json:
         print(json.dumps(result.to_report(), indent=2, sort_keys=True))
     else:
@@ -138,14 +142,19 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    result = fuzz_attacks(
-        args.protocol, count=args.count, max_len=args.max_len, seed=args.seed
-    )
-    if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for cex in result.counterexamples:
-            (out / f"counterexample_{cex['iteration']}.dsl").write_text(cex["program"])
+    out = Path(args.out_dir) if args.out_dir else None
+    try:
+        if out:  # before the run, so a bad directory fails fast
+            out.mkdir(parents=True, exist_ok=True)
+        result = fuzz_attacks(
+            args.protocol, count=args.count, max_len=args.max_len, seed=args.seed
+        )
+        if out:
+            for cex in result.counterexamples:
+                (out / f"counterexample_{cex['iteration']}.dsl").write_text(cex["program"])
+    except OSError as exc:
+        print(f"fuzz: cannot write to {args.out_dir}: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(result.to_report(), indent=2, sort_keys=True))
     else:

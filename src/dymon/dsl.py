@@ -154,6 +154,8 @@ def _unquote(lineno: int, text: str) -> bytes:
                     i += 4
                     continue
             raise AttackSyntaxError(lineno, 2, f"unknown escape \\{nxt}")
+        if ord(c) > 0xFF:
+            raise AttackSyntaxError(lineno, 2, f"character {c!r} is not one byte")
         out.append(ord(c))
         i += 1
     return bytes(out)

@@ -164,8 +164,6 @@ def fuzz_attacks(
     count: int,
     max_len: int = 16,
     seed: int = 0,
-    *,
-    audit: str = "full",
 ) -> FuzzResult:
     """Run count attack programs against the protocol; corpus first."""
     if count < 0 or max_len < 0:
@@ -183,7 +181,7 @@ def fuzz_attacks(
             out.corpus_runs += 1
         else:
             program = generate_program(rng, protocol, max_len)
-        result = run_attack(program, protocol, seed=run_seed, audit=audit)
+        result = run_attack(program, protocol, seed=run_seed)
         histogram[result.verdict.kind.value] += 1
 
         if result.verdict.kind is VerdictKind.ASSERTION_FAILURE:

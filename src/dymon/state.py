@@ -47,6 +47,7 @@ from .terms import (
     TAG_RESPONSE,
     Term,
     Usage,
+    render_event,
     render_term,
 )
 from .wire import pair_decode, pair_encode
@@ -82,28 +83,23 @@ class RepresentationTable:
 class CryptoState:
     """Log + table + sticky assumption failures, with the wrapper surface.
 
-    audit modes: "full" checks, after every wrapper call, that nothing
+    The audit always runs.  After every wrapper call it checks that nothing
     shrank, that the log is good, that both table sides have the same size,
     and that the entries added since the last audit are bijective,
     transparent and High; ``rescan`` repeats the entry checks over the whole
     table once a run ends.  Older entries need no re-check between calls
-    because High is monotone in the log.  "off" disables both.
-    Registration-time checks (term High, literal transparency) stay on in
-    every mode; they guard runtime soundness, not test instrumentation.
+    because High is monotone in the log.  Registration-time checks (term
+    High, literal transparency) guard runtime soundness on their own.
     """
 
     def __init__(
         self,
         convention: Convention = STANDARD,
         mac_fn: Optional[Callable[[bytes, bytes], bytes]] = None,
-        audit: str = "full",
     ):
-        if audit not in ("full", "off"):
-            raise ValueError(f"unknown audit mode {audit!r}")
         self.log = Log.empty(convention)
         self.table = RepresentationTable()
         self.mac_fn = mac_fn or backend.hmac_sha1
-        self.audit = audit
         self.failures: list[AssumptionFailure] = []
         self.soundness_notes: list[str] = []
         self.wrapper_calls = 0
@@ -328,7 +324,7 @@ class CryptoState:
 
     def _post_op(self):
         self.wrapper_calls += 1
-        if self.audit == "full" and not self.failures:
+        if not self.failures:
             if len(self.table) < self._last_table_len or len(self.log) < self._last_log_len:
                 raise TableAuditError("state shrank")
             self._check(len(self.table) - self._last_table_len)
@@ -336,8 +332,7 @@ class CryptoState:
 
     def rescan(self):
         """Audit every table entry; the runtime calls this once, at the end of a run."""
-        if self.audit == "full":
-            self._check(len(self.table))
+        self._check(len(self.table))
 
     def _check(self, newest: int):
         """Check log goodness, the table sizes, and the newest table entries.
@@ -367,8 +362,6 @@ class CryptoState:
     # -- reporting --------------------------------------------------------
 
     def dump(self) -> dict:
-        from .terms import render_event  # local to avoid import clutter
-
         return {
             "response_binds_request": self.log.convention.response_binds_request,
             "events": [render_event(e) for e in self.log],
@@ -382,10 +375,9 @@ class CryptoState:
 def initial_state(
     convention: Convention = STANDARD,
     mac_fn: Optional[Callable[[bytes, bytes], bytes]] = None,
-    audit: str = "full",
 ) -> CryptoState:
     """Fresh state with the two message-format tags pre-registered."""
-    cs = CryptoState(convention=convention, mac_fn=mac_fn, audit=audit)
+    cs = CryptoState(convention=convention, mac_fn=mac_fn)
     for tag in (TAG_REQUEST, TAG_RESPONSE):
         lit = Literal(tag)
         cs._log_add(New(lit, AttackerGuess()))

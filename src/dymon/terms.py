@@ -6,16 +6,21 @@ table (see state.py); the log records which literals were created fresh,
 with what usage, and which protocol events the honest roles claim happened.
 
 A Log value is immutable.  ``add`` returns a new Log sharing nothing
-observable with its input except the events themselves; each new Log gets a
-globally fresh, strictly larger version number, which the level engine uses
-as a memoization key.  Equality between logs compares event *sets*;
-insertion order is preserved only for rendering and reports.
+observable with its input except the events themselves; each Log carries
+its own level memo (see levels.level), which is sound because the Log never
+changes.  Equality between logs compares event *sets*; insertion order is
+preserved only for rendering and reports.
+
+Every node renders in one canonical syntax and parses back from it: a node
+is its class name followed by its fields in parentheses, a node without
+fields is its bare name, and a Literal is ``Literal(0x<hex>)``.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 from .errors import TermSyntaxError
 
@@ -190,18 +195,6 @@ def match_bare_response(m: Term) -> Term | None:
     return None
 
 
-def requested(m: Term, req: Term) -> bool:
-    return match_request(m) == req
-
-
-def responded(m: Term, req: Term, resp: Term) -> bool:
-    return match_response(m) == (req, resp)
-
-
-def pair4(a: Term, b: Term, c: Term, d: Term) -> Term:
-    return Pair(a, Pair(b, Pair(c, d)))
-
-
 def match_pair4(m: Term) -> tuple[Term, Term, Term, Term] | None:
     if (
         isinstance(m, Pair)
@@ -232,14 +225,11 @@ STANDARD = Convention()
 # ---------------------------------------------------------------------------
 # log
 
-_VERSIONS = itertools.count(1)
-
 
 class Log:
-    """Append-only event set with insertion order and a version stamp."""
+    """Append-only event set with insertion order."""
 
     __slots__ = (
-        "version",
         "convention",
         "good",
         "_events",
@@ -251,7 +241,6 @@ class Log:
     )
 
     def __init__(self, events, eset, usages, responses, good, convention):
-        self.version = next(_VERSIONS)
         self.convention = convention
         self.good = good
         self._events = events
@@ -294,10 +283,6 @@ class Log:
         return self._usages.get(t, ())
 
     @property
-    def events(self) -> tuple[Event, ...]:
-        return self._events
-
-    @property
     def news(self):
         return ((e.term, e.usage) for e in self._events if isinstance(e, New))
 
@@ -326,66 +311,53 @@ class Log:
         return hash(self._set)
 
     def __repr__(self) -> str:
-        return f"<Log v{self.version} {len(self)} events>"
+        return f"<Log {len(self)} events>"
 
 
 # ---------------------------------------------------------------------------
-# canonical rendering
+# canonical syntax
 #
-# Stable, whitespace-free, and parseable back.  Literals render as hex.
+# Stable, whitespace-free, and parseable back.  Each node class is listed
+# once; the kind of each field (Term, Usage, HmacKeyUsage, SEncKeyUsage)
+# comes from its annotation, so the renderer and the parser below need no
+# per-constructor code except for the hex payload of a Literal.
+
+_NODE_CLASSES = (
+    Literal, Pair, Hmac, SEnc,
+    AttackerGuess, HmacKey, SEncKey, PresharedKey, SessionKey, PrincipalKey,
+    New, Request, Response, Initiator, Responder, Bad,
+)
+_FIELDS = {
+    cls: tuple((f.name, get_type_hints(cls)[f.name]) for f in fields(cls))
+    for cls in _NODE_CLASSES
+}
+_BY_NAME = {cls.__name__: cls for cls in _NODE_CLASSES}
+_NAME = re.compile(r"(\w+)")
+_HEX = re.compile(r"0x((?:[0-9a-fA-F]{2})*)(?![0-9a-fA-F])")
+
+
+def _render(node, kind: type) -> str:
+    cls = type(node)
+    if cls not in _FIELDS or not issubclass(cls, kind):
+        raise TypeError(f"not a {kind.__name__}: {node!r}")
+    if cls is Literal:
+        return f"Literal(0x{node.data.hex()})"
+    if not _FIELDS[cls]:
+        return cls.__name__
+    args = ",".join(_render(getattr(node, name), k) for name, k in _FIELDS[cls])
+    return f"{cls.__name__}({args})"
 
 
 def render_term(t: Term) -> str:
-    if isinstance(t, Literal):
-        return f"Literal(0x{t.data.hex()})"
-    if isinstance(t, Pair):
-        return f"Pair({render_term(t.fst)},{render_term(t.snd)})"
-    if isinstance(t, Hmac):
-        return f"Hmac({render_term(t.key)},{render_term(t.msg)})"
-    if isinstance(t, SEnc):
-        return f"SEnc({render_term(t.key)},{render_term(t.body)})"
-    raise TypeError(f"not a term: {t!r}")
+    return _render(t, Term)
 
 
 def render_usage(u: Usage) -> str:
-    if isinstance(u, AttackerGuess):
-        return "AttackerGuess"
-    if isinstance(u, HmacKey):
-        inner = u.usage
-        name = "PresharedKey" if isinstance(inner, PresharedKey) else "SessionKey"
-        return f"HmacKey({name}({render_term(inner.a)},{render_term(inner.b)}))"
-    if isinstance(u, SEncKey):
-        return f"SEncKey(PrincipalKey({render_term(u.usage.principal)}))"
-    raise TypeError(f"not a usage: {u!r}")
+    return _render(u, Usage)
 
 
 def render_event(e: Event) -> str:
-    if isinstance(e, New):
-        return f"New({render_term(e.term)},{render_usage(e.usage)})"
-    if isinstance(e, Request):
-        return f"Request({render_term(e.a)},{render_term(e.b)},{render_term(e.req)})"
-    if isinstance(e, Response):
-        return (
-            f"Response({render_term(e.a)},{render_term(e.b)},"
-            f"{render_term(e.req)},{render_term(e.resp)})"
-        )
-    if isinstance(e, Initiator):
-        return (
-            f"Initiator({render_term(e.principal)},{render_term(e.nonce)},"
-            f"{render_term(e.key)},{render_term(e.peer)})"
-        )
-    if isinstance(e, Responder):
-        return (
-            f"Responder({render_term(e.principal)},{render_term(e.nonce)},"
-            f"{render_term(e.key)},{render_term(e.peer)})"
-        )
-    if isinstance(e, Bad):
-        return f"Bad({render_term(e.principal)})"
-    raise TypeError(f"not an event: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# parsing the canonical rendering back
+    return _render(e, Event)
 
 
 class _Parser:
@@ -401,115 +373,47 @@ class _Parser:
             self.fail(f"expected {ch!r}")
         self.pos += 1
 
-    def name(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            self.fail("expected a name")
-        return self.text[start : self.pos]
+    def match(self, pattern: re.Pattern, what: str) -> str:
+        m = pattern.match(self.text, self.pos)
+        if m is None:
+            self.fail(f"expected {what}")
+        self.pos = m.end()
+        return m.group(1)
 
-    def hex_bytes(self) -> bytes:
-        if not self.text.startswith("0x", self.pos):
-            self.fail("expected 0x")
-        self.pos += 2
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in "0123456789abcdefABCDEF":
-            self.pos += 1
-        digits = self.text[start : self.pos]
-        if len(digits) % 2:
-            self.fail("odd hex digit count")
-        return bytes.fromhex(digits)
-
-    def term(self) -> Term:
-        head = self.name()
-        if head == "Literal":
+    def node(self, kind: type):
+        head = self.match(_NAME, "a name")
+        cls = _BY_NAME.get(head)
+        if cls is None or not issubclass(cls, kind):
+            self.fail(f"expected a {kind.__name__}, not {head!r}")
+        if cls is Literal:
             self.eat("(")
-            data = self.hex_bytes()
+            data = bytes.fromhex(self.match(_HEX, "0x and an even number of hex digits"))
             self.eat(")")
             return Literal(data)
-        ctors = {"Pair": Pair, "Hmac": Hmac, "SEnc": SEnc}
-        if head not in ctors:
-            self.fail(f"unknown term constructor {head!r}")
-        self.eat("(")
-        a = self.term()
-        self.eat(",")
-        b = self.term()
+        if not _FIELDS[cls]:
+            return cls()
+        args = []
+        for _, k in _FIELDS[cls]:
+            self.eat("," if args else "(")
+            args.append(self.node(k))
         self.eat(")")
-        return ctors[head](a, b)
-
-    def usage(self) -> Usage:
-        head = self.name()
-        if head == "AttackerGuess":
-            return AttackerGuess()
-        if head == "HmacKey":
-            self.eat("(")
-            inner = self.name()
-            if inner not in ("PresharedKey", "SessionKey"):
-                self.fail(f"unknown key usage {inner!r}")
-            self.eat("(")
-            a = self.term()
-            self.eat(",")
-            b = self.term()
-            self.eat(")")
-            self.eat(")")
-            ctor = PresharedKey if inner == "PresharedKey" else SessionKey
-            return HmacKey(ctor(a, b))
-        if head == "SEncKey":
-            self.eat("(")
-            inner = self.name()
-            if inner != "PrincipalKey":
-                self.fail(f"unknown key usage {inner!r}")
-            self.eat("(")
-            p = self.term()
-            self.eat(")")
-            self.eat(")")
-            return SEncKey(PrincipalKey(p))
-        self.fail(f"unknown usage {head!r}")
-
-    def event(self) -> Event:
-        head = self.name()
-        self.eat("(")
-        if head == "New":
-            t = self.term()
-            self.eat(",")
-            u = self.usage()
-            self.eat(")")
-            return New(t, u)
-        if head == "Bad":
-            p = self.term()
-            self.eat(")")
-            return Bad(p)
-        parts = [self.term()]
-        while self.pos < len(self.text) and self.text[self.pos] == ",":
-            self.pos += 1
-            parts.append(self.term())
-        self.eat(")")
-        shapes = {"Request": (Request, 3), "Response": (Response, 4),
-                  "Initiator": (Initiator, 4), "Responder": (Responder, 4)}
-        if head not in shapes:
-            self.fail(f"unknown event {head!r}")
-        ctor, arity = shapes[head]
-        if len(parts) != arity:
-            self.fail(f"{head} takes {arity} terms")
-        return ctor(*parts)
+        return cls(*args)
 
     def finish(self):
         if self.pos != len(self.text):
             self.fail("trailing input")
 
 
-def parse_term(text: str) -> Term:
+def _parse(text: str, kind: type):
     p = _Parser(text.strip())
-    t = p.term()
+    node = p.node(kind)
     p.finish()
-    return t
+    return node
+
+
+def parse_term(text: str) -> Term:
+    return _parse(text, Term)
 
 
 def parse_event(text: str) -> Event:
-    p = _Parser(text.strip())
-    e = p.event()
-    p.finish()
-    return e
+    return _parse(text, Event)

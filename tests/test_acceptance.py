@@ -7,6 +7,7 @@ with the measured numbers (visible with -rA or -s).
 Tolerances and thresholds are inline next to the assertions they govern.
 """
 
+import inspect
 import random
 import time
 
@@ -268,18 +269,18 @@ def test_criterion_06_theorem_suites_hold_with_nonvacuous_witnesses():
 
 
 def test_criterion_07_full_state_audit_is_always_on():
-    # default audit mode is "full" end to end
+    # the audit has no off switch anywhere on the way in
+    from dymon import CryptoState, initial_state
+
+    for entry in (CryptoState, initial_state, run_attack, fuzz_attacks):
+        assert "audit" not in inspect.signature(entry).parameters
     honest = run_attack(RPC_HONEST, "rpc-correct", seed=3)
-    assert honest.state.audit == "full"
     replay = run_attack(RPC_SPLICE, "rpc-flawed", seed=3)
-    assert replay.state.audit == "full"
     sample = fuzz_attacks("otway-rees", count=150, max_len=14, seed=9)
     calls = honest.state.wrapper_calls + replay.state.wrapper_calls
     assert calls > 0 and sum(sample.histogram.values()) == 150
 
     # the audit is a real check: a corrupted table trips it immediately
-    from dymon import initial_state
-
     cs = initial_state()
     cs.table.by_bytes[b"evil"] = Literal(b"good")
     with pytest.raises(TableAuditError):

@@ -186,6 +186,13 @@ def test_format_quotes_non_printable_bytes():
     assert format_attack(p) == 'let x : string\nx = "\\x00\\xff"\n'
 
 
+def test_string_literal_characters_are_single_bytes():
+    p = parse_attack('let x : string\nx = "\u00e9\u00ff"')
+    assert p.statements[1].value == b"\xe9\xff"
+    with pytest.raises(AttackSyntaxError, match="line 2"):
+        parse_attack('let x : string\nx = "\u20ac"')
+
+
 # -- interpreter ---------------------------------------------------------------
 
 

@@ -166,3 +166,41 @@ def test_query_malformed_dump_exits_two(tmp_path, capsys):
         )
         assert code == 2 and out == ""
         assert err.startswith("query: ")
+
+
+def _assert_input_error(code, out, err, command):
+    assert code == 2
+    assert err.startswith(f"{command}: ") and err.count("\n") == 1
+    assert "Traceback" not in out + err
+
+
+def test_run_string_literal_beyond_one_byte_exits_two(tmp_path, capsys):
+    script = tmp_path / "euro.dsl"
+    script.write_text('let a : string\na = "€"\n', encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "rpc-correct", str(script))
+    _assert_input_error(code, out, err, "run")
+    assert "line 2" in err
+
+
+def test_run_script_that_is_not_utf8_exits_two(tmp_path, capsys):
+    script = tmp_path / "latin1.dsl"
+    script.write_bytes(b'let a : string\na = "\xe9"\n')
+    code, out, err = run_cli(capsys, "run", "rpc-correct", str(script))
+    _assert_input_error(code, out, err, "run")
+
+
+def test_run_dump_into_missing_directory_exits_two(tmp_path, capsys):
+    dump = tmp_path / "missing" / "d.json"
+    code, out, err = run_cli(capsys, "run", "rpc-correct", "--honest", "--dump", str(dump))
+    _assert_input_error(code, out, err, "run")
+    assert not dump.exists()
+
+
+def test_fuzz_out_dir_that_is_a_file_exits_two(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("")
+    code, out, err = run_cli(
+        capsys, "fuzz", "rpc-flawed", "--count", "10", "--seed", "3",
+        "--out-dir", str(target),
+    )
+    _assert_input_error(code, out, err, "fuzz")

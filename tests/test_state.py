@@ -2,7 +2,6 @@
 
 import pytest
 
-import dymon.state
 from dymon import (
     AssumptionKind,
     AttackerGuess,
@@ -285,29 +284,16 @@ def test_audit_rejects_non_bijection():
         cs.w_to_string(b"poke")
 
 
-def test_audit_off_skips_table_scan():
-    cs = initial_state(audit="off")
-    cs.table.by_bytes[b"evil"] = Literal(b"good")
-    cs.w_to_string(b"poke")  # does not raise
-
-
-def test_registration_checks_stay_on_with_audit_off():
-    cs = initial_state(audit="off")
+def test_register_refuses_non_transparent_literal():
+    cs = initial_state()
     with pytest.raises(TableAuditError):
         cs._register(b"data", Literal(b"other"))
 
 
 def test_register_refuses_underivable_term():
-    cs = initial_state(audit="off")
+    cs = initial_state()
     with pytest.raises(TableAuditError):
         cs._register(b"g", Literal(b"g"))  # no New event: not even High
-
-
-def test_unknown_audit_mode_rejected():
-    with pytest.raises(ValueError):
-        initial_state(audit="sometimes")
-    with pytest.raises(ValueError):
-        initial_state(audit="delta")
 
 
 def test_audit_rejects_inconsistent_new_entry():
@@ -383,24 +369,20 @@ def test_full_rescan_accepts_every_state_the_incremental_audit_accepts(monkeypat
 
 
 def test_audit_checks_each_entry_once_plus_one_final_rescan(monkeypatch):
-    # the audit decides High through state.level; counting those calls with
-    # the audit on and off isolates the audit's own work
-    calls = 0
+    # _check is told how many of the newest entries to check; summed over a
+    # run, that is every entry once per call plus the whole table once
+    checked = 0
+    original = CryptoState._check
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return level(*args)
+    def counted(self, newest):
+        nonlocal checked
+        checked += newest
+        original(self, newest)
 
-    monkeypatch.setattr(dymon.state, "level", counted)
-    text = rpc_exchanges(100)
-    per_mode = {}
-    for audit in ("full", "off"):
-        calls = 0
-        r = run_attack(text, "rpc-correct", seed=3, audit=audit)
-        assert r.verdict.kind is VerdictKind.OK
-        per_mode[audit] = calls
-    assert per_mode["full"] - per_mode["off"] <= 2 * len(r.state.table)
+    monkeypatch.setattr(CryptoState, "_check", counted)
+    r = run_attack(rpc_exchanges(100), "rpc-correct", seed=3)
+    assert r.verdict.kind is VerdictKind.OK
+    assert checked <= 2 * len(r.state.table)
 
 
 def test_run_rescans_the_whole_table_once_whatever_the_verdict(monkeypatch):

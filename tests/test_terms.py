@@ -1,8 +1,12 @@
 """Term algebra and the append-only log."""
 
+import dataclasses
+import inspect
+
 import pytest
 from hypothesis import given, strategies as st
 
+import dymon.terms
 from dymon import (
     AttackerGuess,
     Bad,
@@ -27,6 +31,7 @@ from dymon import (
     parse_term,
     render_event,
     render_term,
+    render_usage,
 )
 
 A, B = Literal(b"A"), Literal(b"B")
@@ -88,13 +93,6 @@ def test_log_add_is_persistent_and_deduplicating():
     assert Bad(A) in l1 and Bad(A) not in l0
 
 
-def test_log_versions_strictly_increase():
-    l0 = Log.empty()
-    l1 = l0.add(Bad(A))
-    l2 = l1.add(Bad(B))
-    assert l0.version < l1.version < l2.version
-
-
 def test_log_equality_ignores_order():
     la = Log.empty().add(Bad(A)).add(Bad(B))
     lb = Log.empty().add(Bad(B)).add(Bad(A))
@@ -145,19 +143,91 @@ def test_render_parse_event_round_trip(e):
     assert parse_event(render_event(e)) == e
 
 
+# One pinned rendering per node class; together they use every constructor.
+RENDER_EXAMPLES = [
+    (A, "Literal(0x41)"),
+    (Pair(A, B), "Pair(Literal(0x41),Literal(0x42))"),
+    (Hmac(A, B), "Hmac(Literal(0x41),Literal(0x42))"),
+    (SEnc(A, B), "SEnc(Literal(0x41),Literal(0x42))"),
+    (AttackerGuess(), "AttackerGuess"),
+    (HmacKey(PresharedKey(A, B)), "HmacKey(PresharedKey(Literal(0x41),Literal(0x42)))"),
+    (HmacKey(SessionKey(A, B)), "HmacKey(SessionKey(Literal(0x41),Literal(0x42)))"),
+    (SEncKey(PrincipalKey(A)), "SEncKey(PrincipalKey(Literal(0x41)))"),
+    (
+        New(A, HmacKey(SessionKey(A, B))),
+        "New(Literal(0x41),HmacKey(SessionKey(Literal(0x41),Literal(0x42))))",
+    ),
+    (
+        Request(A, B, Literal(b"q")),
+        "Request(Literal(0x41),Literal(0x42),Literal(0x71))",
+    ),
+    (
+        Response(A, B, Literal(b"q"), Literal(b"r")),
+        "Response(Literal(0x41),Literal(0x42),Literal(0x71),Literal(0x72))",
+    ),
+    (
+        Initiator(A, Literal(b"n"), Literal(b"k"), B),
+        "Initiator(Literal(0x41),Literal(0x6e),Literal(0x6b),Literal(0x42))",
+    ),
+    (
+        Responder(B, Literal(b"n"), Literal(b"k"), A),
+        "Responder(Literal(0x42),Literal(0x6e),Literal(0x6b),Literal(0x41))",
+    ),
+    (Bad(A), "Bad(Literal(0x41))"),
+    (Pair(Literal(b""), SEnc(A, Hmac(B, A))),
+     "Pair(Literal(0x),SEnc(Literal(0x41),Hmac(Literal(0x42),Literal(0x41))))"),
+]
+
+
+def _render(x):
+    if isinstance(x, dymon.terms.Term):
+        return render_term(x)
+    if isinstance(x, dymon.terms.Usage):
+        return render_usage(x)
+    return render_event(x)
+
+
+def _node_classes(x):
+    found = {type(x)}
+    for f in dataclasses.fields(x):
+        child = getattr(x, f.name)
+        if dataclasses.is_dataclass(child):
+            found |= _node_classes(child)
+    return found
+
+
 def test_render_examples_are_stable():
-    assert render_term(Literal(b"A")) == "Literal(0x41)"
-    assert render_term(Pair(A, B)) == "Pair(Literal(0x41),Literal(0x42))"
-    assert (
-        render_event(New(A, HmacKey(SessionKey(A, B))))
-        == "New(Literal(0x41),HmacKey(SessionKey(Literal(0x41),Literal(0x42))))"
+    for value, text in RENDER_EXAMPLES:
+        assert _render(value) == text
+        if isinstance(value, dymon.terms.Term):
+            assert parse_term(text) == value
+        elif isinstance(value, dymon.terms.Event):
+            assert parse_event(text) == value
+
+
+def test_render_examples_cover_every_node_class():
+    bases = (
+        dymon.terms.Term,
+        dymon.terms.Usage,
+        dymon.terms.Event,
+        dymon.terms.HmacKeyUsage,
+        dymon.terms.SEncKeyUsage,
     )
+    node_classes = {
+        cls
+        for _, cls in inspect.getmembers(dymon.terms, inspect.isclass)
+        if dataclasses.is_dataclass(cls) and issubclass(cls, bases)
+    }
+    assert len(node_classes) == 16
+    covered = set().union(*(_node_classes(v) for v, _ in RENDER_EXAMPLES))
+    assert covered == node_classes
 
 
 @pytest.mark.parametrize("bad", [
     "", "Literal", "Literal(41)", "Pair(Literal(0x41))",
     "Nope(Literal(0x41),Literal(0x42))", "Literal(0x4)",
     "Literal(0x41)x",
+    "Pair(AttackerGuess,Literal(0x41))", "Literal(0x41", "Bad(Literal(0x41))",
 ])
 def test_parse_term_rejects_garbage(bad):
     with pytest.raises(TermSyntaxError):
@@ -168,6 +238,12 @@ def test_parse_term_rejects_garbage(bad):
     "Request(Literal(0x41),Literal(0x42))",
     "New(Literal(0x41),Nonsense)",
     "Whatever(Literal(0x41))",
+    "New(Literal(0x41),Literal(0x42))",
+    "New(Literal(0x41),HmacKey(PrincipalKey(Literal(0x41))))",
+    "New(Literal(0x41),SEncKey(SessionKey(Literal(0x41),Literal(0x42))))",
+    "Bad(Literal(0x41),Literal(0x42))",
+    "Response(Literal(0x41),Literal(0x42),Literal(0x43))",
+    "New(Literal(0x41),AttackerGuess())",
 ])
 def test_parse_event_rejects_garbage(bad):
     with pytest.raises(TermSyntaxError):
