@@ -23,7 +23,7 @@ from .errors import ContractViolationError, MalformedPairError, TableAuditError
 from .levels import Level, level
 from .runtime import Runtime, Verdict, _StopRun
 from .state import CryptoState, initial_state
-from .terms import Convention, render_event
+from .terms import STANDARD, Convention, render_event
 from .dsl import (
     AssignString,
     AttackProgram,
@@ -128,7 +128,7 @@ _SHARED_INTERFACE = {
 
 
 def _rpc_setup(rt: Runtime, cpub: bytes, spub: bytes):
-    ses = protocols.setup_rpc(rt, cpub, spub, flawed=(rt.protocol == "rpc-flawed"))
+    ses = protocols.setup_rpc(rt, cpub, spub)
     return FAILED if ses is None else ses
 
 
@@ -204,10 +204,14 @@ def _signatures(table) -> Mapping[str, Signature]:
     return MappingProxyType({name: sig for name, (sig, _) in table.items()})
 
 
-# protocol -> (implementation table, read-only signature map), built once
-_RPC = (_RPC_INTERFACE, _signatures(_RPC_INTERFACE))
-_OR = (_OR_INTERFACE, _signatures(_OR_INTERFACE))
-_BY_PROTOCOL = {"rpc-correct": _RPC, "rpc-flawed": _RPC, "otway-rees": _OR}
+# protocol -> (implementation table, read-only signature map, log convention),
+# built once; the convention alone tells the two RPC variants apart
+_RPC_SIGNATURES = _signatures(_RPC_INTERFACE)
+_BY_PROTOCOL = {
+    "rpc-correct": (_RPC_INTERFACE, _RPC_SIGNATURES, Convention(response_binds_request=True)),
+    "rpc-flawed": (_RPC_INTERFACE, _RPC_SIGNATURES, Convention(response_binds_request=False)),
+    "otway-rees": (_OR_INTERFACE, _signatures(_OR_INTERFACE), STANDARD),
+}
 
 
 def _lookup(protocol: str):
@@ -263,14 +267,13 @@ def run_attack(
     mac_fn=None,
 ) -> RunResult:
     """Execute an attack program against a protocol and judge the run."""
-    table, interface = _lookup(protocol)
+    table, interface, convention = _lookup(protocol)
     if isinstance(program, str):
         program = parse_attack(program)
     validate_attack(program, interface)
 
-    convention = Convention(response_binds_request=(protocol != "rpc-flawed"))
     cs = initial_state(convention=convention, mac_fn=mac_fn)
-    rt = Runtime(cs, protocol=protocol, seed=seed, rand=rand)
+    rt = Runtime(cs, seed=seed, rand=rand)
     env: dict[str, object] = {}
 
     try:

@@ -80,7 +80,10 @@ def _load_log(path: str) -> Log:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         doc = json.loads(text)
-        convention = Convention(bool(doc.get("response_binds_request", True)))
+        binds = doc.get("response_binds_request", True)
+        if not isinstance(binds, bool):
+            raise ValueError("'response_binds_request' must be true or false")
+        convention = Convention(binds)
         lines = doc["events"]
         if not isinstance(lines, list) or not all(isinstance(ln, str) for ln in lines):
             raise ValueError("'events' must be a list of rendered events")

@@ -1,12 +1,15 @@
-"""Straight-line attack program syntax.
+r"""Straight-line attack program syntax.
 
-One statement per line; ``#`` starts a comment (outside string literals).
-Statement forms:
+One statement per line, in one of four forms:
 
     let <var> : <type>          type in {string, bytespub, channel, session}
-    <var> = "text"              string literals; \\xNN, \\\\ and \\" escapes
+    <var> = "text"              string literal
     <var> = <fn>(<args>)        call with result
     <fn>(<args>)                call, result (if any) discarded
+
+A `#` outside a string literal starts a comment on any line. In a string
+literal the escapes are `\xNN`, `\\` and `\"`, and each character up to
+U+00FF is one byte; a character beyond it is a syntax error.
 
 Validation mirrors the shim's well-formedness items and reports the item
 number it found violated:
@@ -91,116 +94,70 @@ class AttackProgram:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# parsing: one anchored pattern per statement form, each ending in an
+# optional comment; a literal is a token, so a `#` inside it is text
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_LET_RE = re.compile(rf"^let\s+({_IDENT})\s*:\s*(\S+)$")
-_CALL_RE = re.compile(rf"^({_IDENT})\s*\(\s*(.*?)\s*\)$")
-_CALL_ASSIGN_RE = re.compile(rf"^({_IDENT})\s*=\s*({_IDENT})\s*\(\s*(.*?)\s*\)$")
-_STR_ASSIGN_RE = re.compile(rf"^({_IDENT})\s*=\s*(\".*\")$")
+_TAIL = r"\s*(?:#.*)?$"
+# a type is one whitespace-free token whose `"` opens a literal that may hide
+# a `#` or run to the end of the line: `let v : a"#"b` names the unknown type
+# `a"#"b` (item 1), `let v : a"b #c"` is no statement (item 2)
+_TYPE = r'(?:[^\s"#]|"(?:[^\s"\\]|\\\S)*(?:"|\\?(?=\s*$)))+'
+_LET = re.compile(rf"\s*let\s+({_IDENT})\s*:\s*({_TYPE}){_TAIL}")
+_STRING = re.compile(rf'\s*({_IDENT})\s*=\s*"((?:[^"\\]|\\.)*)"{_TAIL}')
+_ARGS = rf"(?:{_IDENT}(?:\s*,\s*{_IDENT})*)?"
+_CALL = re.compile(rf"\s*(?:({_IDENT})\s*=\s*)?({_IDENT})\s*\(\s*({_ARGS})\s*\){_TAIL}")
+_BLANK = re.compile(_TAIL)
+_NAME = re.compile(_IDENT)
+
+# escape -> the character it stands for; any byte may also be written \xNN
+_ESCAPES = {"\\": "\\", '"': '"'}
+_ESCAPE = re.compile(r"\\(x[0-9a-fA-F]{2}|.?)")
+# byte -> its spelling in a literal: printable ASCII stands for itself
+_QUOTED = {b: f"\\x{b:02x}" for b in range(256) if not 0x20 <= b < 0x7F}
+_QUOTED.update({ord(c): "\\" + e for e, c in _ESCAPES.items()})
 
 
-def _strip_comment(line: str) -> str:
-    if '"' not in line:
-        # no string literal, so the first # starts the comment
-        return line.split("#", 1)[0].strip()
-    out = []
-    in_str = False
-    i = 0
-    while i < len(line):
-        c = line[i]
-        if in_str:
-            if c == "\\" and i + 1 < len(line):
-                out.append(line[i : i + 2])
-                i += 2
-                continue
-            if c == '"':
-                in_str = False
-        else:
-            if c == "#":
-                break
-            if c == '"':
-                in_str = True
-        out.append(c)
-        i += 1
-    return "".join(out).strip()
+def _unescape(lineno: int, code: str) -> str:
+    if len(code) == 3:
+        return chr(int(code[1:], 16))
+    if code not in _ESCAPES:
+        raise AttackSyntaxError(lineno, 2, f"unknown escape \\{code}")
+    return _ESCAPES[code]
 
 
-def _unquote(lineno: int, text: str) -> bytes:
-    # text includes the surrounding quotes
-    body = text[1:-1]
-    out = bytearray()
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if c == '"':
-            raise AttackSyntaxError(lineno, 2, "unescaped quote inside string literal")
-        if c == "\\":
-            if i + 1 >= len(body):
-                raise AttackSyntaxError(lineno, 2, "dangling escape")
-            nxt = body[i + 1]
-            if nxt == "\\":
-                out.append(0x5C)
-                i += 2
-                continue
-            if nxt == '"':
-                out.append(0x22)
-                i += 2
-                continue
-            if nxt == "x" and i + 4 <= len(body):
-                hexpart = body[i + 2 : i + 4]
-                if all(h in "0123456789abcdefABCDEF" for h in hexpart):
-                    out.append(int(hexpart, 16))
-                    i += 4
-                    continue
-            raise AttackSyntaxError(lineno, 2, f"unknown escape \\{nxt}")
-        if ord(c) > 0xFF:
-            raise AttackSyntaxError(lineno, 2, f"character {c!r} is not one byte")
-        out.append(ord(c))
-        i += 1
-    return bytes(out)
+def _unquote(lineno: int, body: str) -> bytes:
+    text = _ESCAPE.sub(lambda m: _unescape(lineno, m[1]), body)
+    try:
+        return text.encode("latin-1")
+    except UnicodeEncodeError as exc:
+        c = exc.object[exc.start]
+        raise AttackSyntaxError(lineno, 2, f"character {c!r} is not one byte") from None
 
 
-def _split_args(lineno: int, blob: str) -> tuple[str, ...]:
-    if not blob:
-        return ()
-    parts = [p.strip() for p in blob.split(",")]
-    for p in parts:
-        if not re.fullmatch(_IDENT, p):
-            raise AttackSyntaxError(lineno, 2, f"argument {p!r} is not a variable name")
-    return tuple(parts)
+def _quote(value: bytes) -> str:
+    return '"' + value.decode("latin-1").translate(_QUOTED) + '"'
 
 
 def parse_attack(text: str) -> AttackProgram:
     statements: list[Statement] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        m = _LET_RE.match(line)
-        if m:
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if m := _CALL.match(line):
+            var, fn, args = m.groups()
+            args = tuple(_NAME.findall(args))
+            statements.append(
+                Call(fn, args, lineno) if var is None else CallAssign(var, fn, args, lineno)
+            )
+        elif m := _LET.match(line):
             var, kind_name = m.groups()
             kind = _KINDS.get(kind_name)
             if kind is None:
                 raise AttackSyntaxError(lineno, 1, f"unknown type {kind_name!r}")
             statements.append(Decl(var, kind, lineno))
-            continue
-        m = _STR_ASSIGN_RE.match(line)
-        if m:
-            var, lit = m.groups()
-            statements.append(AssignString(var, _unquote(lineno, lit), lineno))
-            continue
-        m = _CALL_ASSIGN_RE.match(line)
-        if m:
-            var, fn, blob = m.groups()
-            statements.append(CallAssign(var, fn, _split_args(lineno, blob), lineno))
-            continue
-        m = _CALL_RE.match(line)
-        if m:
-            fn, blob = m.groups()
-            statements.append(Call(fn, _split_args(lineno, blob), lineno))
-            continue
-        raise AttackSyntaxError(lineno, 2, f"unrecognized statement {line!r}")
+        elif m := _STRING.match(line):
+            statements.append(AssignString(m[1], _unquote(lineno, m[2]), lineno))
+        elif not _BLANK.match(line):
+            raise AttackSyntaxError(lineno, 2, f"unrecognized statement {line.strip()!r}")
     return AttackProgram(tuple(statements))
 
 
@@ -219,70 +176,47 @@ def validate_attack(program: AttackProgram, interface: Mapping[str, Signature]):
             declared[st.var] = st.kind
             continue
         if isinstance(st, AssignString):
-            kind = declared.get(st.var)
-            if kind is None:
-                raise AttackSyntaxError(line, 3, f"{st.var!r} not declared")
-            if st.var in assigned:
-                raise AttackSyntaxError(line, 3, f"{st.var!r} assigned twice")
-            if kind is not ValueKind.STRING:
+            source, result = "string literal", ValueKind.STRING
+        else:
+            fn = st.fn
+            sig = interface.get(fn)
+            if sig is None:
+                raise AttackSyntaxError(line, 5, f"unknown function {fn!r}")
+            for arg in st.args:
+                if arg not in declared:
+                    raise AttackSyntaxError(line, 3, f"{arg!r} not declared")
+                if arg not in assigned:
+                    raise AttackSyntaxError(line, 4, f"{arg!r} used before assignment")
+            if len(st.args) != len(sig.params):
                 raise AttackSyntaxError(
-                    line, 6, f"string literal assigned to {kind.value} variable"
+                    line, 5, f"{fn} takes {len(sig.params)} arguments, got {len(st.args)}"
                 )
-            assigned.add(st.var)
-            continue
-        # calls, with or without a result binding
-        fn = st.fn
-        sig = interface.get(fn)
-        if sig is None:
-            raise AttackSyntaxError(line, 5, f"unknown function {fn!r}")
-        for arg in st.args:
-            if arg not in declared:
-                raise AttackSyntaxError(line, 3, f"{arg!r} not declared")
-            if arg not in assigned:
-                raise AttackSyntaxError(line, 4, f"{arg!r} used before assignment")
-        if len(st.args) != len(sig.params):
+            for arg, want in zip(st.args, sig.params):
+                got = declared[arg]
+                if got is not want:
+                    raise AttackSyntaxError(
+                        line, 5, f"{fn} argument {arg!r} has type {got.value}, needs {want.value}"
+                    )
+            if isinstance(st, Call):
+                continue
+            source, result = fn, sig.result
+        # the assignment target, for string literals and call results alike
+        kind = declared.get(st.var)
+        if kind is None:
+            raise AttackSyntaxError(line, 3, f"{st.var!r} not declared")
+        if st.var in assigned:
+            raise AttackSyntaxError(line, 3, f"{st.var!r} assigned twice")
+        if result is None:
+            raise AttackSyntaxError(line, 6, f"{source} returns nothing")
+        if kind is not result:
             raise AttackSyntaxError(
-                line, 5, f"{fn} takes {len(sig.params)} arguments, got {len(st.args)}"
+                line, 6, f"{source} gives {result.value}, target is {kind.value}"
             )
-        for arg, want in zip(st.args, sig.params):
-            got = declared[arg]
-            if got is not want:
-                raise AttackSyntaxError(
-                    line, 5, f"{fn} argument {arg!r} has type {got.value}, needs {want.value}"
-                )
-        if isinstance(st, CallAssign):
-            kind = declared.get(st.var)
-            if kind is None:
-                raise AttackSyntaxError(line, 3, f"{st.var!r} not declared")
-            if st.var in assigned:
-                raise AttackSyntaxError(line, 3, f"{st.var!r} assigned twice")
-            if sig.result is None:
-                raise AttackSyntaxError(line, 6, f"{fn} returns nothing")
-            if kind is not sig.result:
-                raise AttackSyntaxError(
-                    line, 6, f"{fn} returns {sig.result.value}, target is {kind.value}"
-                )
-            assigned.add(st.var)
+        assigned.add(st.var)
 
 
 # ---------------------------------------------------------------------------
 # canonical formatting (parse . format == identity on programs)
-
-
-def _quote(value: bytes) -> str:
-    out = ['"']
-    for byte in value:
-        c = chr(byte)
-        if c == '"':
-            out.append('\\"')
-        elif c == "\\":
-            out.append("\\\\")
-        elif 0x20 <= byte < 0x7F:
-            out.append(c)
-        else:
-            out.append(f"\\x{byte:02x}")
-    out.append('"')
-    return "".join(out)
 
 
 def format_attack(program: AttackProgram) -> str:
@@ -292,8 +226,7 @@ def format_attack(program: AttackProgram) -> str:
             lines.append(f"let {st.var} : {st.kind.value}")
         elif isinstance(st, AssignString):
             lines.append(f"{st.var} = {_quote(st.value)}")
-        elif isinstance(st, CallAssign):
-            lines.append(f"{st.var} = {st.fn}({', '.join(st.args)})")
         else:
-            lines.append(f"{st.fn}({', '.join(st.args)})")
+            call = f"{st.fn}({', '.join(st.args)})"
+            lines.append(call if isinstance(st, Call) else f"{st.var} = {call}")
     return "\n".join(lines) + "\n"

@@ -83,7 +83,6 @@ class RpcSession:
     key: bytes
     client_channel: Channel
     server_channel: Channel
-    flawed: bool
 
 
 @dataclass
@@ -109,8 +108,7 @@ def _principal_term(cs: CryptoState, pub: bytes) -> Term | None:
     return t
 
 
-def setup_rpc(rt: Runtime, client_pub: bytes, server_pub: bytes,
-              flawed: bool) -> RpcSession | None:
+def setup_rpc(rt: Runtime, client_pub: bytes, server_pub: bytes) -> RpcSession | None:
     cs = rt.cs
     t_c = _principal_term(cs, client_pub)
     t_s = _principal_term(cs, server_pub)
@@ -122,7 +120,7 @@ def setup_rpc(rt: Runtime, client_pub: bytes, server_pub: bytes,
     n = rt.next_session()
     return RpcSession(
         client_pub, server_pub, t_c, t_s, key,
-        Channel(f"client{n}"), Channel(f"server{n}"), flawed,
+        Channel(f"client{n}"), Channel(f"server{n}"),
     )
 
 
@@ -149,6 +147,14 @@ def setup_or(rt: Runtime, a_pub: bytes, b_pub: bytes) -> OrSession | None:
 # RPC roles
 
 
+def _response_payload(cs: CryptoState, req: bytes, resp: bytes) -> bytes:
+    # the shape `can_hmac` accepts under the log's convention, which alone
+    # tells the two RPC variants apart
+    if cs.log.convention.response_binds_request:
+        return cs.w_pair(req, resp)
+    return resp
+
+
 def rpc_client(rt: Runtime, ses: RpcSession, request: bytes):
     cs = rt.cs
     t_req = cs._require_registered(request, "rpc_client")
@@ -161,10 +167,7 @@ def rpc_client(rt: Runtime, ses: RpcSession, request: bytes):
         resp, mac2 = cs.w_destruct(msg2)
     except MalformedPairError:
         return
-    if ses.flawed:
-        to_mac2 = cs.w_pair(TAG_RESPONSE, resp)
-    else:
-        to_mac2 = cs.w_pair(TAG_RESPONSE, cs.w_pair(request, resp))
+    to_mac2 = cs.w_pair(TAG_RESPONSE, _response_payload(cs, request, resp))
     if not cs.w_hmacsha1_verify(ses.key, to_mac2, mac2):
         return
     t_resp = cs.term_of(resp)
@@ -195,10 +198,7 @@ def rpc_server(rt: Runtime, ses: RpcSession):
         return
     t_resp = cs.term_of(resp)
     cs.log_event(Response(ses.t_client, ses.t_server, t_req, t_resp))
-    if ses.flawed:
-        to_mac2 = cs.w_pair(TAG_RESPONSE, resp)
-    else:
-        to_mac2 = cs.w_pair(TAG_RESPONSE, cs.w_pair(req, resp))
+    to_mac2 = cs.w_pair(TAG_RESPONSE, _response_payload(cs, req, resp))
     mac2 = cs.w_hmacsha1(ses.key, to_mac2)
     rt.role_write(ses.server_channel, cs.w_pair(resp, mac2))
 

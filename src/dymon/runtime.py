@@ -102,10 +102,8 @@ class RoleTask:
 
 
 class Runtime:
-    def __init__(self, cs: CryptoState, protocol: str, seed: int,
-                 rand: Optional[RandomSource] = None):
+    def __init__(self, cs: CryptoState, seed: int, rand: Optional[RandomSource] = None):
         self.cs = cs
-        self.protocol = protocol
         self.seed = seed
         self.rand = rand if rand is not None else RandomSource(seed)
         self.roles: list[RoleTask] = []

@@ -52,6 +52,10 @@ from .terms import (
 )
 from .wire import pair_decode, pair_encode
 
+# bound once: looking a member up on an Enum class is a Python-level call
+_LOW = Level.LOW
+_HIGH = Level.HIGH
+
 
 class AssumptionKind(enum.Enum):
     COLLISION = "collision"
@@ -136,7 +140,7 @@ class CryptoState:
 
     def _register(self, data: bytes, t: Term) -> bool:
         """Bind data <-> t; returns False if a collision was recorded."""
-        if not level(Level.HIGH, t, self.log):
+        if not level(_HIGH, t, self.log):
             raise TableAuditError(
                 f"registration of non-High term {render_term(t)}"
             )
@@ -172,7 +176,7 @@ class CryptoState:
             self._log_add(New(lit, AttackerGuess()))
             self._register(raw, lit)
             return True
-        if level(Level.LOW, t, self.log):
+        if level(_LOW, t, self.log):
             return True
         self._record_failure(AssumptionKind.LUCKY_GUESS, raw, t, None)
         return False
@@ -217,7 +221,7 @@ class CryptoState:
     def w_destruct(self, data: bytes) -> tuple[bytes, bytes]:
         """Split pair framing.  Raises MalformedPairError on bad framing."""
         t = self._require_registered(data, "destruct")
-        if not isinstance(t, Pair) and not level(Level.LOW, t, self.log):
+        if not isinstance(t, Pair) and not level(_LOW, t, self.log):
             raise ContractViolationError("destruct", "input neither a pair nor public")
         x, y = pair_decode(data)
         if isinstance(t, Pair):
@@ -236,7 +240,7 @@ class CryptoState:
         tm = self._require_registered(msg, "hmacsha1")
         if not (
             can_hmac(tk, tm, self.log)
-            or (level(Level.LOW, tk, self.log) and level(Level.LOW, tm, self.log))
+            or (level(_LOW, tk, self.log) and level(_LOW, tm, self.log))
         ):
             raise ContractViolationError(
                 "hmacsha1", "payload not sayable under key usage and key not public"
@@ -254,7 +258,7 @@ class CryptoState:
         ok = digest == mac
         if ok:
             expected = Hmac(tk, tm)
-            if level(Level.HIGH, expected, self.log):
+            if level(_HIGH, expected, self.log):
                 # registering the recomputed digest surfaces collisions
                 # where the presented mac bytes were bound to another term
                 self._register(digest, expected)
@@ -280,7 +284,7 @@ class CryptoState:
         tp = self._require_registered(plaintext, "senc")
         if not (
             can_senc(tk, tp, self.log)
-            or (level(Level.LOW, tk, self.log) and level(Level.LOW, tp, self.log))
+            or (level(_LOW, tk, self.log) and level(_LOW, tp, self.log))
         ):
             raise ContractViolationError(
                 "senc", "plaintext not a well-formed ticket and key not public"
@@ -350,7 +354,7 @@ class CryptoState:
                 raise TableAuditError("table is not a bijection")
             if isinstance(t, Literal) and t.data != data:
                 raise TableAuditError("literal transparency broken")
-            if not level(Level.HIGH, t, self.log):
+            if not level(_HIGH, t, self.log):
                 raise TableAuditError(
                     f"registered term not High: {render_term(t)}"
                 )

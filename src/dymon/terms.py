@@ -211,7 +211,8 @@ def match_pair4(m: Term) -> tuple[Term, Term, Term, Term] | None:
 # The level engine's "sayable" predicate for MAC payloads is protocol
 # configuration: the correct RPC protocol binds the request into the
 # response MAC, the known-flawed variant does not.  The flag travels on the
-# log so every derivation in one run sees one convention.
+# log so every derivation and every RPC role's response MAC in one run sees
+# one convention.
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dymon import (
     validate_attack,
 )
 from dymon.attacker import _as_bytespub
-from dymon.dsl import AssignString, Call, CallAssign, Decl
+from dymon.dsl import AssignString, AttackProgram, Call, CallAssign, Decl
 from dymon.scripts import CORPUS, HONEST_DRIVERS
 
 ATTACKS = Path(__file__).resolve().parent.parent / "attacks"
@@ -88,11 +88,34 @@ def test_line_numbers_reported():
     ('let x : string\nx = "dangling\\"', 2),
     ("att_setup(1x, y)", 2),
     ("?!", 2),
+    # a `"` in a type opens a literal that hides `#`: one unknown type
+    ('let v : bytespub"#"x', 1),
+    # a type may not hold whitespace, not even inside such a literal
+    ('let v : a"b #c"', 2),
+    ('let x : string\nx = "abc\\', 2),
 ])
 def test_parse_errors_carry_item_numbers(text, item):
     with pytest.raises(AttackSyntaxError) as info:
         parse_attack(text)
     assert info.value.item == item
+
+
+_S = ValueKind.STRING
+
+
+@pytest.mark.parametrize("text,expected", [
+    ('x = "a\\"#b"  # c', [(AssignString("x", b'a"#b'), 1)]),
+    ('x = "ab\\\\"', [(AssignString("x", b"ab\\"), 1)]),
+    ("f( )", [(Call("f", ()), 1)]),
+    ("x = f( a ,b )", [(CallAssign("x", "f", ("a", "b")), 1)]),
+    ('let\tx\t:\tstring\t#\tt\nx\t=\t"a"\t#\tc\n\tf(\tx\t,\tx\t)',
+     [(Decl("x", _S), 1), (AssignString("x", b"a"), 2), (Call("f", ("x", "x")), 3)]),
+    ("let x:string # t", [(Decl("x", _S), 1)]),
+    ('let x : string\r\n\r\nx = "a"\r\n', [(Decl("x", _S), 1), (AssignString("x", b"a"), 3)]),
+])
+def test_parse_edge_cases(text, expected):
+    p = parse_attack(text)
+    assert [(s, s.line) for s in p.statements] == expected
 
 
 # -- validation ----------------------------------------------------------------
@@ -184,6 +207,11 @@ def test_format_parse_identity_on_generated_programs():
 def test_format_quotes_non_printable_bytes():
     p = parse_attack('let x : string\nx = "\\x00\\xff"')
     assert format_attack(p) == 'let x : string\nx = "\\x00\\xff"\n'
+
+
+def test_every_byte_survives_format_and_parse():
+    p = AttackProgram((Decl("x", ValueKind.STRING), AssignString("x", bytes(range(256)))))
+    assert parse_attack(format_attack(p)) == p
 
 
 def test_string_literal_characters_are_single_bytes():
@@ -294,7 +322,7 @@ def test_report_shape():
 
 def test_held_bytespub_that_is_not_public_is_an_audit_error():
     cs = initial_state()
-    rt = Runtime(cs, protocol="rpc-correct", seed=0, rand=RandomSource(0))
+    rt = Runtime(cs, seed=0, rand=RandomSource(0))
     held = cs.w_to_string(b"held")
     assert _as_bytespub(rt, held) == held
     # corrupt the binding so the held bytes stand for a secret key

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from dymon.cli import main
+from dymon.cli import _load_log, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SPLICE = str(ROOT / "attacks" / "rpcattack_1.dsl")
@@ -166,6 +166,26 @@ def test_query_malformed_dump_exits_two(tmp_path, capsys):
         )
         assert code == 2 and out == ""
         assert err.startswith("query: ")
+
+
+@pytest.mark.parametrize("flag", ["false", None, 0])
+def test_query_dump_convention_must_be_a_boolean(flag, tmp_path, capsys):
+    dump = tmp_path / "log.json"
+    dump.write_text(json.dumps({"events": [], "response_binds_request": flag}))
+    code, out, err = run_cli(
+        capsys, "query", str(dump), "--level", "low", "--term", "Literal(0x41)"
+    )
+    _assert_input_error(code, out, err, "query")
+
+
+def test_query_dump_convention_defaults_to_binding(tmp_path):
+    for doc, binds in (
+        ({"events": []}, True),
+        ({"events": [], "response_binds_request": False}, False),
+    ):
+        dump = tmp_path / "log.json"
+        dump.write_text(json.dumps(doc))
+        assert _load_log(str(dump)).convention.response_binds_request is binds
 
 
 def _assert_input_error(code, out, err, command):

@@ -20,7 +20,7 @@ from dymon.runtime import _StopRun
 
 def make_rt(seed=0, cs=None):
     cs = cs or initial_state()
-    return Runtime(cs, protocol="rpc-correct", seed=seed, rand=RandomSource(seed))
+    return Runtime(cs, seed=seed, rand=RandomSource(seed))
 
 
 def test_exit_codes_table():
@@ -116,7 +116,7 @@ def test_assert_event_failure_decides_run():
 
 def test_assert_event_suppressed_after_assumption_failure():
     cs = initial_state()
-    rt = Runtime(cs, protocol="rpc-correct", seed=0, rand=RandomSource(0))
+    rt = Runtime(cs, seed=0, rand=RandomSource(0))
     cs._record_failure(AssumptionKind.COLLISION, b"x", None, None)
 
     def liar():
@@ -133,7 +133,7 @@ def test_assert_event_suppressed_after_assumption_failure():
 
 def test_finalize_reports_assumption_failure_over_deadlock():
     cs = initial_state()
-    rt = Runtime(cs, protocol="rpc-correct", seed=0, rand=RandomSource(0))
+    rt = Runtime(cs, seed=0, rand=RandomSource(0))
 
     def waiter():
         yield from rt.channel_read(Channel("never"))
