@@ -3,9 +3,15 @@
 The interface is the full Dolev-Yao power the network attacker gets:
 construct and split public data, MAC with public (or compromised) keys,
 read and write every channel, start role instances, and compromise
-principals.  Nothing here can fault the run: malformed destructs, failed
-verifications, and rejected setups produce a failure value that poisons
-whatever is computed from it.
+principals.
+
+One call rule decides what every attacker call gives back.  The result is
+the failure value FAILED, which poisons every call that takes it, when an
+argument is FAILED, when the call is refused (a malformed destruct, an
+empty string, a setup over unregistered principals, ...), or when the call
+records an assumption failure.  Otherwise a bytespub result must be
+registered and Low: every bytespub the attacker holds is public, and one
+that is not is a TableAuditError, a fault in dymon itself.
 
 The interpreter executes one command at a time and then lets every
 runnable role advance, so role scheduling interleaves with the attack
@@ -63,99 +69,61 @@ def _as_bytespub(rt: Runtime, data: bytes) -> bytes:
     return data
 
 
-# -- shared constructors ------------------------------------------------------
+# An entry is (signature, impl); impl(rt, *args) returns the call's result,
+# or None when the call is refused, and the interpreter applies the call
+# rule.  Wrappers are looked up on rt.cs at call time, never bound here, so
+# whatever wraps CryptoState's methods sees every call.
 
 
-def _to_bytespub(rt: Runtime, s: bytes):
-    if len(s) == 0:
-        return FAILED
-    out = rt.cs.w_to_string(s)
-    return FAILED if out is None else _as_bytespub(rt, out)
+def _part(index: int):
+    """att_fst / att_snd: one half of a pair; malformed framing is a refusal."""
+
+    def impl(rt: Runtime, x: bytes):
+        try:
+            return rt.cs.w_destruct(x)[index]
+        except MalformedPairError:
+            return None
+
+    return impl
 
 
-def _att_pair(rt: Runtime, x: bytes, y: bytes):
-    return rt.cs.w_pair(x, y)
+def _start(name: str, role):
+    """att_run_*: start a role instance on a session."""
 
+    def impl(rt: Runtime, ses, *args):
+        rt.spawn(name, role(rt, ses, *args))
 
-def _att_fst(rt: Runtime, x: bytes):
-    try:
-        a, _ = rt.cs.w_destruct(x)
-    except MalformedPairError:
-        return FAILED
-    return a
-
-
-def _att_snd(rt: Runtime, x: bytes):
-    try:
-        _, b = rt.cs.w_destruct(x)
-    except MalformedPairError:
-        return FAILED
-    return b
-
-
-def _att_hmac(rt: Runtime, k: bytes, m: bytes):
-    return rt.cs.w_hmacsha1(k, m)
-
-
-def _att_hmac_verify(rt: Runtime, k: bytes, m: bytes, mac: bytes):
-    rt.cs.w_hmacsha1_verify(k, m, mac)
-    return None
-
-
-def _att_write(rt: Runtime, ch, data: bytes):
-    rt.att_write(ch, data)
-    return None
-
-
-def _att_read(rt: Runtime, ch):
-    return _as_bytespub(rt, rt.att_read(ch))
+    return impl
 
 
 # the Dolev-Yao core both protocol interfaces start with
 _SHARED_INTERFACE = {
-    "att_toBytespub": (Signature((_S,), _B), _to_bytespub),
-    "att_pair": (Signature((_B, _B), _B), _att_pair),
-    "att_fst": (Signature((_B,), _B), _att_fst),
-    "att_snd": (Signature((_B,), _B), _att_snd),
-    "att_hmacsha1": (Signature((_B, _B), _B), _att_hmac),
-    "att_hmacsha1Verify": (Signature((_B, _B, _B), None), _att_hmac_verify),
-    "att_channel_write": (Signature((_C, _B), None), _att_write),
-    "att_channel_read": (Signature((_C,), _B), _att_read),
+    "att_toBytespub": (Signature((_S,), _B), lambda rt, s: rt.cs.w_to_string(s) if s else None),
+    "att_pair": (Signature((_B, _B), _B), lambda rt, x, y: rt.cs.w_pair(x, y)),
+    "att_fst": (Signature((_B,), _B), _part(0)),
+    "att_snd": (Signature((_B,), _B), _part(1)),
+    "att_hmacsha1": (Signature((_B, _B), _B), lambda rt, k, m: rt.cs.w_hmacsha1(k, m)),
+    "att_hmacsha1Verify": (
+        Signature((_B, _B, _B), None), lambda rt, k, m, mac: rt.cs.w_hmacsha1_verify(k, m, mac),
+    ),
+    "att_channel_write": (Signature((_C, _B), None), lambda rt, ch, x: rt.att_write(ch, x)),
+    "att_channel_read": (Signature((_C,), _B), lambda rt, ch: rt.att_read(ch)),
 }
 
 
 # -- RPC interface ------------------------------------------------------------
 
-
-def _rpc_setup(rt: Runtime, cpub: bytes, spub: bytes):
-    ses = protocols.setup_rpc(rt, cpub, spub)
-    return FAILED if ses is None else ses
-
-
-def _rpc_run_client(rt: Runtime, ses, req: bytes):
-    rt.spawn("rpc_client", protocols.rpc_client(rt, ses, req))
-    return None
-
-
-def _rpc_run_server(rt: Runtime, ses):
-    rt.spawn("rpc_server", protocols.rpc_server(rt, ses))
-    return None
-
-
-def _rpc_compromise(side: str):
-    def impl(rt: Runtime, ses):
-        return _as_bytespub(rt, protocols.compromise_rpc(rt, ses, side))
-
-    return impl
-
-
 _RPC_INTERFACE = {
     **_SHARED_INTERFACE,
-    "att_setup": (Signature((_B, _B), _SES), _rpc_setup),
-    "att_run_client": (Signature((_SES, _B), None), _rpc_run_client),
-    "att_run_server": (Signature((_SES,), None), _rpc_run_server),
-    "att_compromise_client": (Signature((_SES,), _B), _rpc_compromise("client")),
-    "att_compromise_server": (Signature((_SES,), _B), _rpc_compromise("server")),
+    "att_setup": (Signature((_B, _B), _SES), protocols.setup_rpc),
+    "att_run_client": (Signature((_SES, _B), None), _start("rpc_client", protocols.rpc_client)),
+    "att_run_server": (Signature((_SES,), None), _start("rpc_server", protocols.rpc_server)),
+    "att_compromise_client": (
+        Signature((_SES,), _B), lambda rt, s: protocols.compromise_rpc(rt, s, "client"),
+    ),
+    "att_compromise_server": (
+        Signature((_SES,), _B), lambda rt, s: protocols.compromise_rpc(rt, s, "server"),
+    ),
     "att_getChannel_client": (Signature((_SES,), _C), lambda rt, s: s.client_channel),
     "att_getChannel_server": (Signature((_SES,), _C), lambda rt, s: s.server_channel),
 }
@@ -163,37 +131,13 @@ _RPC_INTERFACE = {
 
 # -- key-exchange interface ---------------------------------------------------
 
-
-def _or_setup(rt: Runtime, apub: bytes, bpub: bytes):
-    ses = protocols.setup_or(rt, apub, bpub)
-    return FAILED if ses is None else ses
-
-
-def _or_run(role: str):
-    def impl(rt: Runtime, ses):
-        gen = {
-            "initiator": protocols.or_initiator,
-            "responder": protocols.or_responder,
-            "server": protocols.or_server,
-        }[role]
-        rt.spawn(f"or_{role}", gen(rt, ses))
-        return None
-
-    return impl
-
-
-def _or_compromise(rt: Runtime, ses, principal: bytes):
-    key = protocols.compromise_or(rt, ses, principal)
-    return FAILED if key is None else _as_bytespub(rt, key)
-
-
 _OR_INTERFACE = {
     **_SHARED_INTERFACE,
-    "att_or_setup": (Signature((_B, _B), _SES), _or_setup),
-    "att_run_initiator": (Signature((_SES,), None), _or_run("initiator")),
-    "att_run_responder": (Signature((_SES,), None), _or_run("responder")),
-    "att_run_server": (Signature((_SES,), None), _or_run("server")),
-    "att_compromise_principal": (Signature((_SES, _B), _B), _or_compromise),
+    "att_or_setup": (Signature((_B, _B), _SES), protocols.setup_or),
+    "att_run_initiator": (Signature((_SES,), None), _start("or_initiator", protocols.or_initiator)),
+    "att_run_responder": (Signature((_SES,), None), _start("or_responder", protocols.or_responder)),
+    "att_run_server": (Signature((_SES,), None), _start("or_server", protocols.or_server)),
+    "att_compromise_principal": (Signature((_SES, _B), _B), protocols.compromise_or),
     "att_getChannel_initiator": (Signature((_SES,), _C), lambda rt, s: s.init_channel),
     "att_getChannel_responder": (Signature((_SES,), _C), lambda rt, s: s.resp_channel),
     "att_getChannel_server": (Signature((_SES,), _C), lambda rt, s: s.serv_channel),
@@ -276,6 +220,7 @@ def run_attack(
     rt = Runtime(cs, seed=seed, rand=rand)
     env: dict[str, object] = {}
 
+    # the call rule (see the module docstring)
     try:
         for st in program.statements:
             if isinstance(st, Decl):
@@ -284,17 +229,16 @@ def run_attack(
                 env[st.var] = st.value
             else:
                 args = [env[a] for a in st.args]
-                if any(a is FAILED for a in args):
-                    value = FAILED
-                else:
-                    before = cs.failure_count
-                    _, impl = table[st.fn]
+                value = FAILED
+                if FAILED not in args:
+                    sig, impl = table[st.fn]
+                    before = len(cs.failures)
                     try:
-                        value = impl(rt, *args)
+                        result = impl(rt, *args)
                     except ContractViolationError as exc:
                         rt.contract_violation(exc)  # never returns
-                    if cs.failure_count > before:
-                        value = FAILED
+                    if result is not None and len(cs.failures) == before:
+                        value = _as_bytespub(rt, result) if sig.result is _B else result
                 if isinstance(st, CallAssign):
                     env[st.var] = value
             rt.drain()

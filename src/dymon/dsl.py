@@ -39,6 +39,10 @@ class ValueKind(enum.Enum):
     CHANNEL = "channel"
     SESSION = "session"
 
+    # members are singletons compared by identity; Enum's own __hash__ is a
+    # Python-level call, and the generator hashes a kind per pool lookup
+    __hash__ = object.__hash__
+
 
 _KINDS = {k.value: k for k in ValueKind}
 

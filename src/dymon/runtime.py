@@ -7,12 +7,15 @@ only freedom is the order in which independently runnable roles advance,
 and that order is drawn from a seeded RNG.
 
 Verdict discipline (the safety semantics):
-  * an assertion failure decides the run only if no assumption failure was
-    recorded before it; otherwise it is suppressed,
-  * contract violations decide the run the same way,
+  * an assertion failure or a contract violation decides the run, and ends
+    it, when it happens,
   * an attacker read on an empty channel with no role able to make progress
-    is a deadlock,
+    is a deadlock, and so is a role still waiting when the script ends,
   * otherwise the run is Ok.
+One rule takes precedence over all of these, and ``Runtime._judge`` alone
+applies it: once an assumption failure is recorded, the run's verdict is
+an assumption failure named after the first one recorded.  An assertion
+that fails after it is suppressed: its role stops, and the run goes on.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Iterator, NoReturn, Optional
 from .backend import RandomSource
 from .errors import ContractViolationError
 from .levels import Level, level
-from .state import AssumptionFailure, CryptoState
+from .state import CryptoState
 
 
 class VerdictKind(enum.Enum):
@@ -58,10 +61,6 @@ class Verdict:
 
     def to_dict(self) -> dict:
         return {"kind": self.kind.value, "location": self.location, "detail": self.detail}
-
-
-def _assumption_verdict(f: AssumptionFailure) -> Verdict:
-    return Verdict(VerdictKind.ASSUMPTION_FAILURE, None, f.kind.value)
 
 
 class _StopRun(Exception):
@@ -104,7 +103,6 @@ class RoleTask:
 class Runtime:
     def __init__(self, cs: CryptoState, seed: int, rand: Optional[RandomSource] = None):
         self.cs = cs
-        self.seed = seed
         self.rand = rand if rand is not None else RandomSource(seed)
         self.roles: list[RoleTask] = []
         self.verdict: Optional[Verdict] = None
@@ -147,13 +145,10 @@ class Runtime:
         if not ch.to_net:
             self.drain()
         if not ch.to_net:
-            if self.cs.failure is not None:
-                self.verdict = _assumption_verdict(self.cs.failure)
-            else:
-                self.verdict = Verdict(
-                    VerdictKind.DEADLOCK, f"att_channel_read[{ch.name}]",
-                    "read on empty channel with no runnable role",
-                )
+            self.verdict = self._judge(
+                VerdictKind.DEADLOCK, f"att_channel_read[{ch.name}]",
+                "read on empty channel with no runnable role",
+            )
             raise _StopRun()
         return ch.to_net.popleft()
 
@@ -164,24 +159,33 @@ class Runtime:
         if not level(Level.LOW, t, self.cs.log):
             raise ContractViolationError(location, "attempt to send a non-public value")
 
-    # -- assertions and faults ----------------------------------------------
+    # -- verdicts ------------------------------------------------------------
+
+    def _judge(
+        self, kind: VerdictKind, location: Optional[str] = None, detail: Optional[str] = None,
+    ) -> Verdict:
+        """The run's verdict in place of a candidate: the first recorded
+        assumption failure, if there is one, outranks every other verdict."""
+        f = self.cs.failure
+        if f is None:
+            return Verdict(kind, location, detail)
+        return Verdict(VerdictKind.ASSUMPTION_FAILURE, None, f.kind.value)
 
     def assert_event(self, holds: bool, location: str, description: str):
         self.assertions_checked += 1
         if holds:
             return
-        if self.cs.failure is not None:
+        verdict = self._judge(VerdictKind.ASSERTION_FAILURE, location, description)
+        if verdict.kind is VerdictKind.ASSUMPTION_FAILURE:
             self.suppressed.append((location, description))
             raise _RoleAbort()
-        self.verdict = Verdict(VerdictKind.ASSERTION_FAILURE, location, description)
+        self.verdict = verdict
         raise _StopRun()
 
     def contract_violation(self, exc: ContractViolationError) -> NoReturn:
-        if self.cs.failure is not None:
+        self.verdict = self._judge(VerdictKind.CONTRACT_VIOLATION, exc.location, exc.reason)
+        if self.verdict.kind is VerdictKind.ASSUMPTION_FAILURE:
             self.suppressed.append((exc.location, exc.reason))
-            self.verdict = _assumption_verdict(self.cs.failure)
-        else:
-            self.verdict = Verdict(VerdictKind.CONTRACT_VIOLATION, exc.location, exc.reason)
         raise _StopRun()
 
     # -- scheduling -----------------------------------------------------------
@@ -203,25 +207,16 @@ class Runtime:
                 self._step(task)
 
     def _step(self, task: RoleTask):
-        task.waiting_on = None
-        while True:
-            try:
-                ch = task.gen.send(None)
-            except StopIteration:
-                task.done = True
-                return
-            except _RoleAbort:
-                task.done = True
-                return
-            except ContractViolationError as exc:
-                task.done = True
-                self.contract_violation(exc)
-            if ch.from_net:
-                continue
-            task.waiting_on = ch
-            return
+        # a role yields only from channel_read, and only on an empty channel
+        try:
+            task.waiting_on = task.gen.send(None)
+        except (StopIteration, _RoleAbort):
+            task.done = True
+        except ContractViolationError as exc:
+            task.done = True
+            self.contract_violation(exc)
 
-    # -- verdict ---------------------------------------------------------------
+    # -- end of run -------------------------------------------------------------
 
     def finalize(self) -> Verdict:
         if self.verdict is None:
@@ -230,13 +225,12 @@ class Runtime:
             except _StopRun:
                 pass
         self.cs.rescan()
-        if self.verdict is not None:
-            return self.verdict
-        if self.cs.failure is not None:
-            self.verdict = _assumption_verdict(self.cs.failure)
-        elif any(not t.done for t in self.roles):
+        if self.verdict is None:
             stuck = ", ".join(t.name for t in self.roles if not t.done)
-            self.verdict = Verdict(VerdictKind.DEADLOCK, stuck, "roles still waiting at end of run")
-        else:
-            self.verdict = Verdict(VerdictKind.OK)
+            if stuck:
+                self.verdict = self._judge(
+                    VerdictKind.DEADLOCK, stuck, "roles still waiting at end of run"
+                )
+            else:
+                self.verdict = self._judge(VerdictKind.OK)
         return self.verdict

@@ -116,18 +116,11 @@ class CryptoState:
     def failure(self) -> Optional[AssumptionFailure]:
         return self.failures[0] if self.failures else None
 
-    @property
-    def failure_count(self) -> int:
-        return len(self.failures)
-
     def _record_failure(self, kind, data, existing, attempted, note=""):
         self.failures.append(AssumptionFailure(kind, data, existing, attempted, note))
 
     def term_of(self, data: bytes) -> Optional[Term]:
         return self.table.by_bytes.get(data)
-
-    def bytes_of(self, t: Term) -> Optional[bytes]:
-        return self.table.by_term.get(t)
 
     def _require_registered(self, data: bytes, location: str) -> Term:
         t = self.table.by_bytes.get(data)
@@ -138,8 +131,8 @@ class CryptoState:
     def _log_add(self, e: Event):
         self.log = self.log.add(e)
 
-    def _register(self, data: bytes, t: Term) -> bool:
-        """Bind data <-> t; returns False if a collision was recorded."""
+    def _register(self, data: bytes, t: Term):
+        """Bind data <-> t, or record a collision and leave the table as it is."""
         if not level(_HIGH, t, self.log):
             raise TableAuditError(
                 f"registration of non-High term {render_term(t)}"
@@ -149,19 +142,18 @@ class CryptoState:
         existing_t = self.table.by_bytes.get(data)
         if existing_t is not None and existing_t != t:
             self._record_failure(AssumptionKind.COLLISION, data, existing_t, t)
-            return False
+            return
         existing_b = self.table.by_term.get(t)
         if existing_b is not None and existing_b != data:
             self._record_failure(
                 AssumptionKind.COLLISION, data, t, t,
                 note="term already bound to different bytes",
             )
-            return False
+            return
         if existing_t is None:
             self.table.by_bytes[data] = t
         if existing_b is None:
             self.table.by_term[t] = data
-        return True
 
     def _adopt_public(self, raw: bytes) -> bool:
         """Bind unknown bytes as a fresh attacker-guess literal.

@@ -7,7 +7,9 @@ import pytest
 
 from dymon import (
     AttackSyntaxError,
+    CryptoState,
     HmacKey,
+    Level,
     Literal,
     PresharedKey,
     RPC_HONEST,
@@ -20,6 +22,7 @@ from dymon import (
     generate_program,
     initial_state,
     interface_for,
+    level,
     parse_attack,
     run_attack,
     validate_attack,
@@ -330,3 +333,41 @@ def test_held_bytespub_that_is_not_public_is_an_audit_error():
     cs.table.by_bytes[held] = cs.term_of(key)
     with pytest.raises(TableAuditError):
         _as_bytespub(rt, held)
+
+
+# each bytespub-returning core call -> (the wrapper it goes through, its
+# arguments, a stand-in for that wrapper returning the given bytes)
+_HELD_RESULTS = {
+    "att_pair": ("w_pair", "alice, bob", lambda held: held),
+    "att_fst": ("w_destruct", "alice", lambda held: (held, held)),
+    "att_snd": ("w_destruct", "alice", lambda held: (held, held)),
+    "att_hmacsha1": ("w_hmacsha1", "alice, bob", lambda held: held),
+}
+
+
+@pytest.mark.parametrize("fn", sorted(_HELD_RESULTS))
+def test_every_bytespub_result_is_checked_public(fn, monkeypatch):
+    wrapper, args, shape = _HELD_RESULTS[fn]
+
+    def leak_a_secret(cs, *_):
+        # the bytes of the session's preshared key, registered and not Low
+        secret = next(d for d, t in cs.table.by_bytes.items() if not level(Level.LOW, t, cs.log))
+        return shape(secret)
+
+    monkeypatch.setattr(CryptoState, wrapper, leak_a_secret)
+    program = f"""\
+let a : string
+a = "Alice"
+let b : string
+b = "Bob"
+let alice : bytespub
+alice = att_toBytespub(a)
+let bob : bytespub
+bob = att_toBytespub(b)
+let s : session
+s = att_setup(alice, bob)
+let x : bytespub
+x = {fn}({args})
+"""
+    with pytest.raises(TableAuditError):
+        run_attack(program, "rpc-correct", seed=0)

@@ -12,6 +12,7 @@ from dymon import (
     fuzz_attacks,
     generate_program,
     interface_for,
+    run_attack,
     validate_attack,
 )
 from dymon.scripts import CORPUS
@@ -67,6 +68,35 @@ def test_fuzz_report_matches_pinned_run():
     assert r["histogram"] == {"assertion-failure": 1, "deadlock": 203, "ok": 196}
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "d3dc575151c6a1422077e6963f50b6e22fdd0271e21d83517dda28c41b7c930f"
+    )
+
+
+class _RepeatingSource:
+    """Random source that repeats itself: every second fresh draw collides."""
+
+    def draw(self, nbytes):
+        return b"\x42" * nbytes
+
+
+def test_run_reports_match_pinned_digest():
+    # every corpus program plus 200 generated ones per protocol, each run
+    # with the default primitives, a 1-byte MAC and a repeating random
+    # source: ok, deadlock, assertion- and assumption-failure verdicts,
+    # suppressed assertions, events, tables and failure records
+    h = hashlib.sha256()
+    kinds = set()
+    for seed, protocol in enumerate(("rpc-correct", "rpc-flawed", "otway-rees")):
+        rng = random.Random(seed)
+        programs = list(CORPUS[protocol])
+        programs += [generate_program(rng, protocol, 32) for _ in range(200)]
+        for i, program in enumerate(programs):
+            for kw in ({}, {"mac_fn": lambda k, m: b"\x00"}, {"rand": _RepeatingSource()}):
+                r = run_attack(program, protocol, seed=i, **kw).to_report()
+                kinds.add(r["verdict"]["kind"])
+                h.update(json.dumps(r, sort_keys=True).encode())
+    assert kinds == {"ok", "deadlock", "assertion-failure", "assumption-failure"}
+    assert h.hexdigest() == (
+        "d7cce2fcad5845570f8015cf5884dab2c258b493c0968f9a416589c3e63fffdb"
     )
 
 

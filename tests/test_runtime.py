@@ -12,6 +12,7 @@ from dymon import (
     PresharedKey,
     RandomSource,
     Runtime,
+    Verdict,
     VerdictKind,
     initial_state,
 )
@@ -193,3 +194,82 @@ def test_verdict_to_dict():
     rt = make_rt()
     v = rt.finalize()
     assert v.to_dict() == {"kind": "ok", "location": None, "detail": None}
+
+
+# -- one precedence rule -------------------------------------------------------
+
+
+def _read_empty_channel(rt):
+    rt.att_read(Channel("c"))
+
+
+def _role_sends_secret(rt):
+    key = rt.cs.w_fresh(HmacKey(PresharedKey(Literal(b"A"), Literal(b"B"))), 16, rt.rand)
+
+    def leaky():
+        rt.role_write(Channel("c"), key)
+        yield
+
+    rt.spawn("leaky", leaky())
+    rt.drain()
+
+
+def _role_fails_assertion(rt):
+    def liar():
+        rt.assert_event(False, "liar", "always fails")
+        yield
+
+    rt.spawn("liar", liar())
+    rt.drain()
+
+
+def _role_parks(rt):
+    def waiter():
+        yield from rt.channel_read(Channel("never"))
+
+    rt.spawn("waiter", waiter())
+
+
+def _role_finishes(rt):
+    def worker():
+        return
+        yield
+
+    rt.spawn("worker", worker())
+
+
+# how a run ends -> (what it does, its verdict when no assumption failed)
+RUN_ENDINGS = {
+    "deadlocked-att-read": (_read_empty_channel, VerdictKind.DEADLOCK),
+    "role-contract-violation": (_role_sends_secret, VerdictKind.CONTRACT_VIOLATION),
+    "failed-assertion": (_role_fails_assertion, VerdictKind.ASSERTION_FAILURE),
+    "parked-role": (_role_parks, VerdictKind.DEADLOCK),
+    "all-finished": (_role_finishes, VerdictKind.OK),
+}
+
+
+@pytest.mark.parametrize("ending", sorted(RUN_ENDINGS))
+@pytest.mark.parametrize("recorded", [
+    (),
+    (AssumptionKind.COLLISION, AssumptionKind.LUCKY_GUESS),
+    (AssumptionKind.LUCKY_GUESS, AssumptionKind.COLLISION),
+], ids=["none", "collision-first", "lucky-guess-first"])
+def test_first_assumption_failure_outranks_every_verdict(ending, recorded):
+    rt = make_rt()
+    for kind in recorded:
+        rt.cs._record_failure(kind, kind.value.encode(), None, None)
+    act, kind = RUN_ENDINGS[ending]
+    try:
+        act(rt)
+    except _StopRun:
+        pass
+    v = rt.finalize()
+    if not recorded:
+        assert v.kind is kind
+        assert rt.suppressed == []
+        return
+    assert v == Verdict(VerdictKind.ASSUMPTION_FAILURE, None, recorded[0].value)
+    assert v.exit_code == 11
+    # a failed assertion or contract violation is kept as suppressed
+    overruled = kind in (VerdictKind.ASSERTION_FAILURE, VerdictKind.CONTRACT_VIOLATION)
+    assert len(rt.suppressed) == overruled
