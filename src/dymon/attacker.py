@@ -252,6 +252,6 @@ def run_attack(
         protocol=protocol,
         seed=seed,
         assertions_checked=rt.assertions_checked,
-        suppressed=len(rt.suppressed),
+        suppressed=rt.assertions_suppressed,
         roles_spawned=len(rt.roles),
     )

@@ -4,7 +4,10 @@ Roles are generators.  A role that wants input yields the channel it is
 waiting on; the scheduler resumes it when the attacker has written
 something there.  All scheduling is deterministic under the run seed; the
 only freedom is the order in which independently runnable roles advance,
-and that order is drawn from a seeded RNG.
+and that order is drawn from a seeded RNG, seeded the first time two or
+more roles are runnable at once.  The scheduler looks only at the live
+roles (spawned and not yet done), so a long run does not rescan every role
+it ever spawned.
 
 Verdict discipline (the safety semantics):
   * an assertion failure or a contract violation decides the run, and ends
@@ -104,11 +107,16 @@ class Runtime:
     def __init__(self, cs: CryptoState, seed: int, rand: Optional[RandomSource] = None):
         self.cs = cs
         self.rand = rand if rand is not None else RandomSource(seed)
-        self.roles: list[RoleTask] = []
+        self.roles: list[RoleTask] = []  # every role spawned, in spawn order
+        self._live: list[RoleTask] = []  # the roles not yet done, in spawn order
         self.verdict: Optional[Verdict] = None
         self.assertions_checked = 0
+        self.assertions_suppressed = 0
+        # every overruled failure: suppressed assertions, then at most one
+        # contract violation, which still ends the run
         self.suppressed: list[tuple[str, str]] = []
-        self._sched = random.Random(seed ^ 0x5EED)
+        self._seed = seed
+        self._sched: Optional[random.Random] = None
         self._spawned = 0
         self._sessions = 0
 
@@ -123,6 +131,7 @@ class Runtime:
         self._spawned += 1
         task = RoleTask(f"{name}#{self._spawned}", gen)
         self.roles.append(task)
+        self._live.append(task)
         return task
 
     def channel_read(self, ch: Channel):
@@ -177,6 +186,7 @@ class Runtime:
             return
         verdict = self._judge(VerdictKind.ASSERTION_FAILURE, location, description)
         if verdict.kind is VerdictKind.ASSUMPTION_FAILURE:
+            self.assertions_suppressed += 1
             self.suppressed.append((location, description))
             raise _RoleAbort()
         self.verdict = verdict
@@ -191,18 +201,23 @@ class Runtime:
     # -- scheduling -----------------------------------------------------------
 
     def _runnable(self) -> list[RoleTask]:
-        return [
-            t for t in self.roles
-            if not t.done and (t.waiting_on is None or t.waiting_on.from_net)
-        ]
+        live = self._live = [t for t in self._live if not t.done]
+        return [t for t in live if t.waiting_on is None or t.waiting_on.from_net]
 
     def drain(self):
-        """Advance every runnable role until all are parked or finished."""
+        """Advance every runnable role until all are parked or finished.
+
+        The scheduler's RNG is seeded at the first shuffle of two or more
+        roles; shuffling one role draws nothing, so no draw moves.
+        """
         while True:
             ready = self._runnable()
             if not ready:
                 return
-            self._sched.shuffle(ready)
+            if len(ready) > 1:
+                if self._sched is None:
+                    self._sched = random.Random(self._seed ^ 0x5EED)
+                self._sched.shuffle(ready)
             for task in ready:
                 self._step(task)
 

@@ -368,15 +368,34 @@ class CryptoState:
         }
 
 
+# one two-tag state per convention; initial_state copies it for every run
+_TEMPLATES: dict[Convention, CryptoState] = {}
+
+
 def initial_state(
     convention: Convention = STANDARD,
     mac_fn: Optional[Callable[[bytes, bytes], bytes]] = None,
 ) -> CryptoState:
-    """Fresh state with the two message-format tags pre-registered."""
-    cs = CryptoState(convention=convention, mac_fn=mac_fn)
-    for tag in (TAG_REQUEST, TAG_RESPONSE):
-        lit = Literal(tag)
-        cs._log_add(New(lit, AttackerGuess()))
-        cs._register(tag, lit)
-    cs._post_op()
+    """Fresh state with the two message-format tags pre-registered.
+
+    The tags are registered and audited once per convention, in a template.
+    Every state made from it shares the template's Log, which is immutable
+    (so its level memo holds for every run), and gets its own copies of the
+    two table dicts and its own ``mac_fn``; the wrapper-call count and the
+    audit snapshot start where the template's ended.
+    """
+    template = _TEMPLATES.get(convention)
+    if template is None:
+        template = _TEMPLATES[convention] = CryptoState(convention)
+        for tag in (TAG_REQUEST, TAG_RESPONSE):
+            lit = Literal(tag)
+            template._log_add(New(lit, AttackerGuess()))
+            template._register(tag, lit)
+        template._post_op()
+    cs = CryptoState(convention, mac_fn)
+    cs.log = template.log
+    cs.table.by_bytes = dict(template.table.by_bytes)
+    cs.table.by_term = dict(template.table.by_term)
+    cs.wrapper_calls = template.wrapper_calls
+    cs._snapshot()
     return cs

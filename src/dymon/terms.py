@@ -5,6 +5,9 @@ ever hands out is backed by one of these terms through the representation
 table (see state.py); the log records which literals were created fresh,
 with what usage, and which protocol events the honest roles claim happened.
 
+A node (a term, a usage or an event) is hashed once, when it is built, and
+keeps that hash; equality is still the field-by-field dataclass comparison.
+
 A Log value is immutable.  ``add`` returns a new Log sharing nothing
 observable with its input except the events themselves; each Log carries
 its own level memo (see levels.level), which is sound because the Log never
@@ -25,6 +28,43 @@ from typing import get_type_hints
 from .errors import TermSyntaxError
 
 # ---------------------------------------------------------------------------
+# nodes
+#
+# Terms, usages and events are keys of the representation table and the
+# level memo, so they are hashed far more often than they are built.  The
+# generated dataclass hash rebuilds a tuple at every level of the tree, one
+# Python frame per node; here each node hashes its class and its fields
+# once, in __init__ (a child node answers with its own stored hash), and
+# __hash__ returns the stored value.  Equal nodes have the same class and
+# equal fields, hence equal hashes.
+
+
+def _node(cls):
+    """``@dataclass(frozen=True)`` whose __init__ also stores the hash."""
+    cls = dataclass(frozen=True, init=False)(cls)
+    args = "".join(f", {f.name}" for f in fields(cls))
+    sets = "".join(f"    _set(self, {f.name!r}, {f.name})\n" for f in fields(cls))
+    namespace = {"_set": object.__setattr__, "_cls": cls}
+    exec(
+        f"def __init__(self{args}):\n{sets}"
+        f"    _set(self, '_hash', hash((_cls{args})))\n",
+        namespace,
+    )
+    cls.__init__ = namespace["__init__"]
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__: a stored hash is valid in one process only
+        return cls, tuple(getattr(self, f.name) for f in fields(cls))
+
+    cls.__hash__ = __hash__
+    cls.__reduce__ = __reduce__
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # terms
 
 
@@ -32,24 +72,24 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Literal(Term):
     data: bytes
 
 
-@dataclass(frozen=True)
+@_node
 class Pair(Term):
     fst: Term
     snd: Term
 
 
-@dataclass(frozen=True)
+@_node
 class Hmac(Term):
     key: Term
     msg: Term
 
 
-@dataclass(frozen=True)
+@_node
 class SEnc(Term):
     key: Term
     body: Term
@@ -68,7 +108,7 @@ class Usage:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class AttackerGuess(Usage):
     pass
 
@@ -77,7 +117,7 @@ class HmacKeyUsage:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class PresharedKey(HmacKeyUsage):
     """MAC key installed between two principals before the run (RPC)."""
 
@@ -85,7 +125,7 @@ class PresharedKey(HmacKeyUsage):
     b: Term
 
 
-@dataclass(frozen=True)
+@_node
 class SessionKey(HmacKeyUsage):
     """MAC key established by the key server; a is the initiator side."""
 
@@ -93,7 +133,7 @@ class SessionKey(HmacKeyUsage):
     b: Term
 
 
-@dataclass(frozen=True)
+@_node
 class HmacKey(Usage):
     usage: HmacKeyUsage
 
@@ -102,14 +142,14 @@ class SEncKeyUsage:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class PrincipalKey(SEncKeyUsage):
     """Long-term encryption key shared between a principal and the server."""
 
     principal: Term
 
 
-@dataclass(frozen=True)
+@_node
 class SEncKey(Usage):
     usage: SEncKeyUsage
 
@@ -122,20 +162,20 @@ class Event:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class New(Event):
     term: Term
     usage: Usage
 
 
-@dataclass(frozen=True)
+@_node
 class Request(Event):
     a: Term
     b: Term
     req: Term
 
 
-@dataclass(frozen=True)
+@_node
 class Response(Event):
     a: Term
     b: Term
@@ -143,7 +183,7 @@ class Response(Event):
     resp: Term
 
 
-@dataclass(frozen=True)
+@_node
 class Initiator(Event):
     principal: Term
     nonce: Term
@@ -151,7 +191,7 @@ class Initiator(Event):
     peer: Term
 
 
-@dataclass(frozen=True)
+@_node
 class Responder(Event):
     principal: Term
     nonce: Term
@@ -159,7 +199,7 @@ class Responder(Event):
     peer: Term
 
 
-@dataclass(frozen=True)
+@_node
 class Bad(Event):
     principal: Term
 

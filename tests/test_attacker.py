@@ -6,13 +6,16 @@ from pathlib import Path
 import pytest
 
 from dymon import (
+    AssumptionKind,
     AttackSyntaxError,
+    ContractViolationError,
     CryptoState,
     HmacKey,
     Level,
     Literal,
     PresharedKey,
     RPC_HONEST,
+    RPC_SPLICE,
     RandomSource,
     Runtime,
     TableAuditError,
@@ -321,6 +324,32 @@ def test_report_shape():
     assert doc["exit_code"] == 0
     assert isinstance(doc["events"], list)
     assert doc["assertions_checked"] == 2
+
+
+def test_report_counts_only_suppressed_assertions(monkeypatch):
+    # an overruled contract violation is not a suppressed assertion failure
+    def collide_then_break_contract(cs, b1, b2):
+        cs._record_failure(AssumptionKind.COLLISION, b1, None, None)
+        raise ContractViolationError("pair", "broken on purpose")
+
+    monkeypatch.setattr(CryptoState, "w_pair", collide_then_break_contract)
+    program = """\
+let a : string
+a = "Alice"
+let alice : bytespub
+alice = att_toBytespub(a)
+let x : bytespub
+x = att_pair(alice, alice)
+"""
+    r = run_attack(program, "rpc-correct", seed=0)
+    assert r.verdict.kind is VerdictKind.ASSUMPTION_FAILURE
+    assert r.to_report()["suppressed_assertion_failures"] == 0
+    monkeypatch.undo()
+    # a 1-byte MAC makes a spliced response collide, and the client's
+    # failing assertion after it is counted
+    stub = run_attack(RPC_SPLICE, "rpc-correct", seed=3, mac_fn=lambda k, m: b"\x00")
+    assert stub.verdict.kind is VerdictKind.ASSUMPTION_FAILURE
+    assert stub.to_report()["suppressed_assertion_failures"] == stub.suppressed >= 1
 
 
 def test_held_bytespub_that_is_not_public_is_an_audit_error():

@@ -1,5 +1,7 @@
 """Concrete crypto: published HMAC-SHA1 vectors, cipher round trips."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -74,6 +76,14 @@ def test_random_source_replayable():
     assert [a.draw(16) for _ in range(5)] == [b.draw(16) for _ in range(5)]
     assert a.counter == 5
     assert RandomSource(1).draw(16) != RandomSource(2).draw(16)
+
+
+def test_random_source_draws_what_a_seeded_random_draws():
+    for seed in (0, 1, 99, 2**40 + 3):
+        src, ref = RandomSource(seed), random.Random(seed)
+        for n in (16, 1, 20, 5):
+            assert src.draw(n) == ref.randbytes(n)
+        assert src.counter == 4
 
 
 def test_random_source_rejects_empty_draw():

@@ -1,5 +1,7 @@
 """Scheduler, channels, and the verdict discipline."""
 
+import random
+
 import pytest
 
 from dymon import (
@@ -188,6 +190,53 @@ def test_scheduling_is_deterministic_in_seed():
     assert run_once(3) == run_once(3)
     runs = {tuple(run_once(s)) for s in range(20)}
     assert len(runs) > 1  # the order really is schedule-dependent
+
+
+def test_schedule_is_one_seeded_shuffle_per_drain_of_several_roles():
+    for seed in range(10):
+        rt = make_rt(seed=seed)
+        order = []
+
+        def talker(name):
+            order.append(name)
+            return
+            yield
+
+        # a drain with one runnable role draws nothing from the scheduler
+        rt.spawn("alone", talker("alone"))
+        rt.drain()
+        names = ["a", "b", "c", "d"]
+        for name in names:
+            rt.spawn(name, talker(name))
+        rt.drain()
+        expected = list(names)
+        random.Random(seed ^ 0x5EED).shuffle(expected)
+        assert order == ["alone"] + expected
+
+
+def test_finished_roles_leave_the_schedule_and_stay_counted():
+    rt = make_rt()
+    channels = [Channel(f"c{i}") for i in range(3)]
+
+    def quick():
+        return
+        yield
+
+    def waiter(ch):
+        yield from rt.channel_read(ch)
+
+    for ch in channels:
+        rt.spawn("quick", quick())
+        rt.spawn("wait", waiter(ch))
+    rt.drain()
+    rt.att_write(channels[1], rt.cs.w_to_string(b"go"))
+    rt.drain()
+    assert [t.name for t in rt.roles] == [
+        "quick#1", "wait#2", "quick#3", "wait#4", "quick#5", "wait#6",
+    ]
+    assert rt.finalize() == Verdict(
+        VerdictKind.DEADLOCK, "wait#2, wait#6", "roles still waiting at end of run",
+    )
 
 
 def test_verdict_to_dict():

@@ -6,6 +6,7 @@ from dymon import (
     AssumptionKind,
     AttackerGuess,
     Bad,
+    Convention,
     ContractViolationError,
     CryptoState,
     Hmac,
@@ -22,6 +23,7 @@ from dymon import (
     RandomSource,
     Request,
     SEncKey,
+    STANDARD,
     TAG_REQUEST,
     TAG_RESPONSE,
     TableAuditError,
@@ -70,6 +72,51 @@ def test_initial_state_registers_exactly_the_tags():
     assert cs.term_of(b"1") == Literal(b"1")
     assert cs.term_of(b"2") == Literal(b"2")
     assert cs.failures == []
+
+
+def _tagged_from_scratch(convention):
+    """The two-tag state built the slow way, as initial_state once did."""
+    cs = CryptoState(convention)
+    for tag in (TAG_REQUEST, TAG_RESPONSE):
+        lit = Literal(tag)
+        cs._log_add(New(lit, AttackerGuess()))
+        cs._register(tag, lit)
+    cs._post_op()
+    return cs
+
+
+@pytest.mark.parametrize("convention", [STANDARD, Convention(response_binds_request=False)])
+def test_initial_state_agrees_with_a_state_built_from_scratch(convention):
+    slow = _tagged_from_scratch(convention)
+    for _ in range(2):  # the first call builds the template, the second reuses it
+        fast = initial_state(convention)
+        assert list(fast.log) == list(slow.log)
+        assert fast.log.convention == convention and fast.log.good
+        assert list(fast.table.by_bytes.items()) == list(slow.table.by_bytes.items())
+        assert list(fast.table.by_term.items()) == list(slow.table.by_term.items())
+        assert fast.wrapper_calls == slow.wrapper_calls == 1
+        assert (fast._last_table_len, fast._last_log_len) == (
+            slow._last_table_len, slow._last_log_len,
+        )
+        assert fast.failures == [] and fast.soundness_notes == []
+        assert fast.dump() == slow.dump()
+
+
+def test_initial_states_share_no_table_and_keep_their_mac():
+    def stub(key, msg):
+        return b"\x00"
+
+    a, b = initial_state(), initial_state(mac_fn=stub)
+    assert a.table.by_bytes is not b.table.by_bytes
+    assert a.table.by_term is not b.table.by_term
+    assert a.failures is not b.failures
+    assert a.mac_fn is hmac_sha1 and b.mac_fn is stub
+    a.w_to_string(b"only in a")
+    a._record_failure(AssumptionKind.LUCKY_GUESS, b"x", None, None)
+    assert b.term_of(b"only in a") is None
+    assert len(b.table) == 2 and len(b.log) == 2 and b.failures == []
+    c = initial_state()
+    assert len(c.table) == 2 and len(c.log) == 2 and c.mac_fn is hmac_sha1
 
 
 # -- w_to_string ---------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 import dataclasses
 import inspect
+import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 import dymon.terms
+from oracles import random_instance
 from dymon import (
     AttackerGuess,
     Bad,
@@ -248,3 +251,76 @@ def test_parse_term_rejects_garbage(bad):
 def test_parse_event_rejects_garbage(bad):
     with pytest.raises(TermSyntaxError):
         parse_event(bad)
+
+
+# -- stored hashes -------------------------------------------------------------
+#
+# Each node stores its hash when it is built.  Whatever way an equal node
+# comes about (built again from fresh objects, or parsed back from its
+# rendering), it must be equal, hash the same, and find the original's
+# dict entries.
+
+
+def _subnodes(x):
+    yield x
+    for f in dataclasses.fields(x):
+        child = getattr(x, f.name)
+        if dataclasses.is_dataclass(child):
+            yield from _subnodes(child)
+
+
+def _rebuilt(x):
+    if isinstance(x, Literal):
+        return Literal(bytes(bytearray(x.data)))  # a new bytes object, hash not cached
+    return type(x)(*(_rebuilt(getattr(x, f.name)) for f in dataclasses.fields(x)))
+
+
+def _parsed_back(x):
+    if isinstance(x, dymon.terms.Term):
+        return parse_term(render_term(x))
+    if isinstance(x, dymon.terms.Event):
+        return parse_event(render_event(x))
+    if isinstance(x, dymon.terms.Usage):
+        return _parsed_back(New(A, x)).usage
+    if isinstance(x, dymon.terms.HmacKeyUsage):
+        return _parsed_back(HmacKey(x)).usage
+    return _parsed_back(SEncKey(x)).usage
+
+
+def _agreement_nodes():
+    """The RENDER_EXAMPLES and the terms and events of random oracle logs,
+    with every node inside them."""
+    roots = [v for v, _ in RENDER_EXAMPLES]
+    rng = random.Random(8)
+    for _ in range(25):
+        log, universe = random_instance(rng)
+        roots += sorted(universe, key=render_term) + list(log)
+    return [n for root in roots for n in _subnodes(root)]
+
+
+def test_equal_nodes_hash_alike_however_they_are_built():
+    nodes = _agreement_nodes()
+    assert {type(n) for n in nodes} == set(dymon.terms._NODE_CLASSES)
+    index = {n: n for n in nodes}
+    for n in nodes:
+        for twin in (_rebuilt(n), _parsed_back(n)):
+            assert twin is not n
+            assert twin == n
+            assert hash(twin) == hash(n)
+            assert index[twin] == n
+
+
+@given(e=events())
+def test_rebuilt_events_hash_alike(e):
+    twin = _rebuilt(e)
+    assert twin == e and hash(twin) == hash(e)
+    assert {e: 1}[twin] == 1
+
+
+def test_pickled_nodes_rebuild_their_hash():
+    # a stored hash holds in one process only, so it is never pickled
+    for value, _ in RENDER_EXAMPLES:
+        data = pickle.dumps(value)
+        assert b"_hash" not in data
+        twin = pickle.loads(data)
+        assert twin == value and hash(twin) == hash(value)
