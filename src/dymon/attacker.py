@@ -13,9 +13,11 @@ records an assumption failure.  Otherwise a bytespub result must be
 registered and Low: every bytespub the attacker holds is public, and one
 that is not is a TableAuditError, a fault in dymon itself.
 
-The interpreter executes one command at a time and then lets every
-runnable role advance, so role scheduling interleaves with the attack
-script deterministically under the run seed.
+The interpreter applies the call rule to one statement at a time and does
+nothing else.  Only starting a role (att_run_*) and delivering a message
+(att_channel_write) can make a role runnable, and both let every runnable
+role advance before they return, so no role is runnable between two
+statements; the order is deterministic under the run seed.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from .terms import STANDARD, Convention, render_event
 from .dsl import (
     AssignString,
     AttackProgram,
-    CallAssign,
-    Decl,
+    Call,
     Signature,
     ValueKind,
     parse_attack,
@@ -88,12 +89,19 @@ def _part(index: int):
 
 
 def _start(name: str, role):
-    """att_run_*: start a role instance on a session."""
+    """att_run_*: start a role instance on a session and let it run."""
 
     def impl(rt: Runtime, ses, *args):
         rt.spawn(name, role(rt, ses, *args))
+        rt.drain()
 
     return impl
+
+
+def _deliver(rt: Runtime, ch, x: bytes):
+    """att_channel_write: deliver a message and let the roles it wakes run."""
+    rt.att_write(ch, x)
+    rt.drain()
 
 
 # the Dolev-Yao core both protocol interfaces start with
@@ -106,7 +114,7 @@ _SHARED_INTERFACE = {
     "att_hmacsha1Verify": (
         Signature((_B, _B, _B), None), lambda rt, k, m, mac: rt.cs.w_hmacsha1_verify(k, m, mac),
     ),
-    "att_channel_write": (Signature((_C, _B), None), lambda rt, ch, x: rt.att_write(ch, x)),
+    "att_channel_write": (Signature((_C, _B), None), _deliver),
     "att_channel_read": (Signature((_C,), _B), lambda rt, ch: rt.att_read(ch)),
 }
 
@@ -223,11 +231,9 @@ def run_attack(
     # the call rule (see the module docstring)
     try:
         for st in program.statements:
-            if isinstance(st, Decl):
-                continue
             if isinstance(st, AssignString):
                 env[st.var] = st.value
-            else:
+            elif isinstance(st, Call):
                 args = [env[a] for a in st.args]
                 value = FAILED
                 if FAILED not in args:
@@ -239,9 +245,8 @@ def run_attack(
                         rt.contract_violation(exc)  # never returns
                     if result is not None and len(cs.failures) == before:
                         value = _as_bytespub(rt, result) if sig.result is _B else result
-                if isinstance(st, CallAssign):
+                if st.var is not None:
                     env[st.var] = value
-            rt.drain()
     except _StopRun:
         pass
 

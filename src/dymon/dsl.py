@@ -1,15 +1,18 @@
 r"""Straight-line attack program syntax.
 
-One statement per line, in one of four forms:
+One statement per line, in one of three forms:
 
     let <var> : <type>          type in {string, bytespub, channel, session}
     <var> = "text"              string literal
-    <var> = <fn>(<args>)        call with result
-    <fn>(<args>)                call, result (if any) discarded
+    [<var> =] <fn>(<args>)      call: one `Call`, whose `var` is None when
+                                the result (if any) is discarded
 
-A `#` outside a string literal starts a comment on any line. In a string
-literal the escapes are `\xNN`, `\\` and `\"`, and each character up to
-U+00FF is one byte; a character beyond it is a syntax error.
+Roles run only inside the calls that wake them (att_run_*,
+att_channel_write), never between two statements.  A type ends at
+whitespace, `#` or `"`.  A `#` outside a string literal starts a comment
+on any line.  In a string literal the escapes are `\xNN`, `\\` and `\"`,
+and each character up to U+00FF is one byte; a character beyond it is a
+syntax error.
 
 Validation mirrors the shim's well-formedness items and reports the item
 number it found violated:
@@ -65,21 +68,14 @@ class AssignString:
 
 
 @dataclass(frozen=True)
-class CallAssign:
-    var: str
-    fn: str
-    args: tuple[str, ...]
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
 class Call:
     fn: str
     args: tuple[str, ...]
+    var: Optional[str] = None
     line: int = field(default=0, compare=False)
 
 
-Statement = Decl | AssignString | CallAssign | Call
+Statement = Decl | AssignString | Call
 
 
 @dataclass(frozen=True)
@@ -103,10 +99,7 @@ class AttackProgram:
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _TAIL = r"\s*(?:#.*)?$"
-# a type is one whitespace-free token whose `"` opens a literal that may hide
-# a `#` or run to the end of the line: `let v : a"#"b` names the unknown type
-# `a"#"b` (item 1), `let v : a"b #c"` is no statement (item 2)
-_TYPE = r'(?:[^\s"#]|"(?:[^\s"\\]|\\\S)*(?:"|\\?(?=\s*$)))+'
+_TYPE = r'[^\s#"]+'
 _LET = re.compile(rf"\s*let\s+({_IDENT})\s*:\s*({_TYPE}){_TAIL}")
 _STRING = re.compile(rf'\s*({_IDENT})\s*=\s*"((?:[^"\\]|\\.)*)"{_TAIL}')
 _ARGS = rf"(?:{_IDENT}(?:\s*,\s*{_IDENT})*)?"
@@ -148,10 +141,7 @@ def parse_attack(text: str) -> AttackProgram:
     for lineno, line in enumerate(text.splitlines(), 1):
         if m := _CALL.match(line):
             var, fn, args = m.groups()
-            args = tuple(_NAME.findall(args))
-            statements.append(
-                Call(fn, args, lineno) if var is None else CallAssign(var, fn, args, lineno)
-            )
+            statements.append(Call(fn, tuple(_NAME.findall(args)), var, lineno))
         elif m := _LET.match(line):
             var, kind_name = m.groups()
             kind = _KINDS.get(kind_name)
@@ -201,7 +191,7 @@ def validate_attack(program: AttackProgram, interface: Mapping[str, Signature]):
                     raise AttackSyntaxError(
                         line, 5, f"{fn} argument {arg!r} has type {got.value}, needs {want.value}"
                     )
-            if isinstance(st, Call):
+            if st.var is None:
                 continue
             source, result = fn, sig.result
         # the assignment target, for string literals and call results alike
@@ -232,5 +222,5 @@ def format_attack(program: AttackProgram) -> str:
             lines.append(f"{st.var} = {_quote(st.value)}")
         else:
             call = f"{st.fn}({', '.join(st.args)})"
-            lines.append(call if isinstance(st, Call) else f"{st.var} = {call}")
+            lines.append(call if st.var is None else f"{st.var} = {call}")
     return "\n".join(lines) + "\n"

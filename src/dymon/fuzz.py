@@ -23,7 +23,6 @@ from .dsl import (
     AssignString,
     AttackProgram,
     Call,
-    CallAssign,
     Decl,
     Statement,
     ValueKind,
@@ -104,11 +103,8 @@ class _Builder:
 
     def emit_call(self, fn: str, params, result) -> None:
         args = tuple(self.rng.choice(self.pools[p]) for p in params)
-        if result is None:
-            self.statements.append(Call(fn, args))
-        else:
-            name = self._fresh(result)
-            self.statements.append(CallAssign(name, fn, args))
+        var = None if result is None else self._fresh(result)
+        self.statements.append(Call(fn, args, var))
         self.commands += 1
 
 

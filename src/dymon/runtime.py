@@ -2,12 +2,14 @@
 
 Roles are generators.  A role that wants input yields the channel it is
 waiting on; the scheduler resumes it when the attacker has written
-something there.  All scheduling is deterministic under the run seed; the
-only freedom is the order in which independently runnable roles advance,
-and that order is drawn from a seeded RNG, seeded the first time two or
-more roles are runnable at once.  The scheduler looks only at the live
-roles (spawned and not yet done), so a long run does not rescan every role
-it ever spawned.
+something there.  So only a spawn or a delivery can make a role runnable,
+and the attacker interface calls ``drain`` right after those two; the
+drains in ``att_read`` and ``finalize`` serve direct callers.  All
+scheduling is deterministic under the run seed; the only freedom is the
+order in which independently runnable roles advance, drawn from an RNG
+seeded the first time two or more roles are runnable at once.  The
+scheduler looks only at the live roles (spawned and not yet done), so a
+long run does not rescan every role it ever spawned.
 
 Verdict discipline (the safety semantics):
   * an assertion failure or a contract violation decides the run, and ends

@@ -320,11 +320,12 @@ class CryptoState:
 
     def _post_op(self):
         self.wrapper_calls += 1
+        table_len, log_len = len(self.table), len(self.log)
         if not self.failures:
-            if len(self.table) < self._last_table_len or len(self.log) < self._last_log_len:
+            if table_len < self._last_table_len or log_len < self._last_log_len:
                 raise TableAuditError("state shrank")
-            self._check(len(self.table) - self._last_table_len)
-        self._snapshot()
+            self._check(table_len - self._last_table_len)
+        self._last_table_len, self._last_log_len = table_len, log_len
 
     def rescan(self):
         """Audit every table entry; the runtime calls this once, at the end of a run."""
@@ -350,10 +351,6 @@ class CryptoState:
                 raise TableAuditError(
                     f"registered term not High: {render_term(t)}"
                 )
-
-    def _snapshot(self):
-        self._last_table_len = len(self.table)
-        self._last_log_len = len(self.log)
 
     # -- reporting --------------------------------------------------------
 
@@ -397,5 +394,5 @@ def initial_state(
     cs.table.by_bytes = dict(template.table.by_bytes)
     cs.table.by_term = dict(template.table.by_term)
     cs.wrapper_calls = template.wrapper_calls
-    cs._snapshot()
+    cs._last_table_len, cs._last_log_len = template._last_table_len, template._last_log_len
     return cs

@@ -13,6 +13,7 @@ from dymon import (
     HmacKey,
     Level,
     Literal,
+    OR_HONEST,
     PresharedKey,
     RPC_HONEST,
     RPC_SPLICE,
@@ -30,8 +31,8 @@ from dymon import (
     run_attack,
     validate_attack,
 )
-from dymon.attacker import _as_bytespub
-from dymon.dsl import AssignString, AttackProgram, Call, CallAssign, Decl
+from dymon.attacker import _OR_INTERFACE, _RPC_INTERFACE, _as_bytespub
+from dymon.dsl import AssignString, AttackProgram, Call, Decl
 from dymon.scripts import CORPUS, HONEST_DRIVERS
 
 ATTACKS = Path(__file__).resolve().parent.parent / "attacks"
@@ -56,8 +57,9 @@ def test_parse_shapes_and_comments():
         """
     )
     assert [type(s).__name__ for s in p.statements] == [
-        "Decl", "AssignString", "Decl", "CallAssign", "Call",
+        "Decl", "AssignString", "Decl", "Call", "Call",
     ]
+    assert (p.statements[3].var, p.statements[4].var) == ("b", None)
     assert p.statements[1].value == b"hi # not a comment"
     assert p.commands == p.statements[1:2] + p.statements[3:]
 
@@ -94,9 +96,8 @@ def test_line_numbers_reported():
     ('let x : string\nx = "dangling\\"', 2),
     ("att_setup(1x, y)", 2),
     ("?!", 2),
-    # a `"` in a type opens a literal that hides `#`: one unknown type
-    ('let v : bytespub"#"x', 1),
-    # a type may not hold whitespace, not even inside such a literal
+    # a `"` ends a type, and what follows it is no statement
+    ('let v : bytespub"#"x', 2),
     ('let v : a"b #c"', 2),
     ('let x : string\nx = "abc\\', 2),
 ])
@@ -113,7 +114,7 @@ _S = ValueKind.STRING
     ('x = "a\\"#b"  # c', [(AssignString("x", b'a"#b'), 1)]),
     ('x = "ab\\\\"', [(AssignString("x", b"ab\\"), 1)]),
     ("f( )", [(Call("f", ()), 1)]),
-    ("x = f( a ,b )", [(CallAssign("x", "f", ("a", "b")), 1)]),
+    ("x = f( a ,b )", [(Call("f", ("a", "b"), "x"), 1)]),
     ('let\tx\t:\tstring\t#\tt\nx\t=\t"a"\t#\tc\n\tf(\tx\t,\tx\t)',
      [(Decl("x", _S), 1), (AssignString("x", b"a"), 2), (Call("f", ("x", "x")), 3)]),
     ("let x:string # t", [(Decl("x", _S), 1)]),
@@ -208,6 +209,15 @@ def test_format_parse_identity_on_generated_programs():
             p = generate_program(rng, protocol, max_len=12)
             validate_attack(p, interface_for(protocol))
             assert parse_attack(format_attack(p)) == p
+
+
+def test_bundled_program_files_match_the_scripts():
+    for name, text in [
+        ("rpcattack_0.dsl", RPC_HONEST),
+        ("rpcattack_1.dsl", RPC_SPLICE),
+        ("or_honest.dsl", OR_HONEST),
+    ]:
+        assert (ATTACKS / name).read_bytes() == text.encode(), name
 
 
 def test_format_quotes_non_printable_bytes():
@@ -314,6 +324,32 @@ def test_random_programs_never_crash_the_interpreter():
             p = generate_program(rng, protocol, max_len=14)
             r = run_attack(p, protocol, seed=i)
             assert r.verdict.kind in VerdictKind
+
+
+def test_no_role_is_runnable_when_a_call_starts(monkeypatch):
+    # roles run only inside the calls that wake them, so every interface
+    # entry, and the end of the run, finds no role runnable
+    def checked(impl):
+        def entry(rt, *args):
+            assert rt._runnable() == []
+            return impl(rt, *args)
+        return entry
+
+    for table in (_RPC_INTERFACE, _OR_INTERFACE):
+        for fn, (sig, impl) in list(table.items()):
+            monkeypatch.setitem(table, fn, (sig, checked(impl)))
+    finalize = Runtime.finalize
+
+    def checked_finalize(rt):
+        assert rt.verdict is not None or rt._runnable() == []
+        return finalize(rt)
+
+    monkeypatch.setattr(Runtime, "finalize", checked_finalize)
+    rng = random.Random(17)
+    for protocol, corpus in CORPUS.items():
+        programs = [*corpus, *(generate_program(rng, protocol, 32) for _ in range(200))]
+        for i, program in enumerate(programs):
+            run_attack(program, protocol, seed=i)
 
 
 def test_report_shape():
