@@ -14,10 +14,10 @@ registered and Low: every bytespub the attacker holds is public, and one
 that is not is a TableAuditError, a fault in dymon itself.
 
 The interpreter applies the call rule to one statement at a time and does
-nothing else.  Only starting a role (att_run_*) and delivering a message
-(att_channel_write) can make a role runnable, and both let every runnable
-role advance before they return, so no role is runnable between two
-statements; the order is deterministic under the run seed.
+nothing else.  It schedules no role: the runtime runs every role that
+starting a role (att_run_*) or delivering a message (att_channel_write)
+wakes before the call returns, so no role is runnable between two
+statements.
 """
 
 from __future__ import annotations
@@ -89,19 +89,12 @@ def _part(index: int):
 
 
 def _start(name: str, role):
-    """att_run_*: start a role instance on a session and let it run."""
+    """att_run_*: start a role instance on a session."""
 
     def impl(rt: Runtime, ses, *args):
         rt.spawn(name, role(rt, ses, *args))
-        rt.drain()
 
     return impl
-
-
-def _deliver(rt: Runtime, ch, x: bytes):
-    """att_channel_write: deliver a message and let the roles it wakes run."""
-    rt.att_write(ch, x)
-    rt.drain()
 
 
 # the Dolev-Yao core both protocol interfaces start with
@@ -114,7 +107,7 @@ _SHARED_INTERFACE = {
     "att_hmacsha1Verify": (
         Signature((_B, _B, _B), None), lambda rt, k, m, mac: rt.cs.w_hmacsha1_verify(k, m, mac),
     ),
-    "att_channel_write": (Signature((_C, _B), None), _deliver),
+    "att_channel_write": (Signature((_C, _B), None), lambda rt, ch, x: rt.att_write(ch, x)),
     "att_channel_read": (Signature((_C,), _B), lambda rt, ch: rt.att_read(ch)),
 }
 

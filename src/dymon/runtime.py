@@ -2,12 +2,12 @@
 
 Roles are generators.  A role that wants input yields the channel it is
 waiting on; the scheduler resumes it when the attacker has written
-something there.  So only a spawn or a delivery can make a role runnable,
-and the attacker interface calls ``drain`` right after those two; the
-drains in ``att_read`` and ``finalize`` serve direct callers.  All
-scheduling is deterministic under the run seed; the only freedom is the
-order in which independently runnable roles advance, drawn from an RNG
-seeded the first time two or more roles are runnable at once.  The
+something there.  The runtime owns the wake rule: only ``spawn`` and
+``att_write`` can make a role runnable, and each ends by running every
+runnable role, so between two of the runtime's calls no role is runnable.
+All scheduling is deterministic under the run seed; the only freedom is
+the order in which independently runnable roles advance, drawn from an
+RNG seeded the first time two or more roles are runnable at once.  The
 scheduler looks only at the live roles (spawned and not yet done), so a
 long run does not rescan every role it ever spawned.
 
@@ -119,7 +119,6 @@ class Runtime:
         self.suppressed: list[tuple[str, str]] = []
         self._seed = seed
         self._sched: Optional[random.Random] = None
-        self._spawned = 0
         self._sessions = 0
 
     # -- roles --------------------------------------------------------------
@@ -130,10 +129,11 @@ class Runtime:
         return self._sessions
 
     def spawn(self, name: str, gen: Iterator) -> RoleTask:
-        self._spawned += 1
-        task = RoleTask(f"{name}#{self._spawned}", gen)
+        """Start a role, numbered in spawn order, and run it until it parks or ends."""
+        task = RoleTask(f"{name}#{len(self.roles) + 1}", gen)
         self.roles.append(task)
         self._live.append(task)
+        self.drain()
         return task
 
     def channel_read(self, ch: Channel):
@@ -149,12 +149,12 @@ class Runtime:
     # -- attacker-side channel access ----------------------------------------
 
     def att_write(self, ch: Channel, data: bytes):
+        """Deliver a message and run the roles it wakes."""
         self._check_public(data, f"att_channel_write[{ch.name}]")
         ch.from_net.append(data)
+        self.drain()
 
     def att_read(self, ch: Channel) -> bytes:
-        if not ch.to_net:
-            self.drain()
         if not ch.to_net:
             self.verdict = self._judge(
                 VerdictKind.DEADLOCK, f"att_channel_read[{ch.name}]",
@@ -207,21 +207,21 @@ class Runtime:
         return [t for t in live if t.waiting_on is None or t.waiting_on.from_net]
 
     def drain(self):
-        """Advance every runnable role until all are parked or finished.
+        """Step every runnable role once, in one seeded order.
 
-        The scheduler's RNG is seeded at the first shuffle of two or more
-        roles; shuffling one role draws nothing, so no draw moves.
+        One pass leaves no role runnable: a step ends with the role done or
+        parked on an empty channel, a role only fills ``to_net``, and only
+        ``att_write`` fills ``from_net``, so no role can wake another.  The
+        scheduler's RNG is seeded at the first shuffle of two or more
+        roles; one ready role draws nothing.
         """
-        while True:
-            ready = self._runnable()
-            if not ready:
-                return
-            if len(ready) > 1:
-                if self._sched is None:
-                    self._sched = random.Random(self._seed ^ 0x5EED)
-                self._sched.shuffle(ready)
-            for task in ready:
-                self._step(task)
+        ready = self._runnable()
+        if len(ready) > 1:
+            if self._sched is None:
+                self._sched = random.Random(self._seed ^ 0x5EED)
+            self._sched.shuffle(ready)
+        for task in ready:
+            self._step(task)
 
     def _step(self, task: RoleTask):
         # a role yields only from channel_read, and only on an empty channel
@@ -236,11 +236,6 @@ class Runtime:
     # -- end of run -------------------------------------------------------------
 
     def finalize(self) -> Verdict:
-        if self.verdict is None:
-            try:
-                self.drain()
-            except _StopRun:
-                pass
         self.cs.rescan()
         if self.verdict is None:
             stuck = ", ".join(t.name for t in self.roles if not t.done)

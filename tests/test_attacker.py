@@ -345,6 +345,23 @@ def test_no_role_is_runnable_when_a_call_starts(monkeypatch):
         return finalize(rt)
 
     monkeypatch.setattr(Runtime, "finalize", checked_finalize)
+    drain, step = Runtime.drain, Runtime._step
+    stepped = []
+
+    def checked_drain(rt):
+        # one pass steps every ready role and leaves no role runnable
+        ready = rt._runnable()
+        stepped.clear()
+        drain(rt)
+        assert sorted(t.name for t in stepped) == sorted(t.name for t in ready)
+        assert rt._runnable() == []
+
+    def recorded_step(rt, task):
+        stepped.append(task)
+        step(rt, task)
+
+    monkeypatch.setattr(Runtime, "drain", checked_drain)
+    monkeypatch.setattr(Runtime, "_step", recorded_step)
     rng = random.Random(17)
     for protocol, corpus in CORPUS.items():
         programs = [*corpus, *(generate_program(rng, protocol, 32) for _ in range(200))]

@@ -1,6 +1,8 @@
 """Command line behavior: exit codes, JSON stability, log queries."""
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -18,12 +20,25 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_bundled_attack_files_match_embedded_scripts():
-    from dymon import OR_HONEST, RPC_HONEST, RPC_SPLICE
+def _readme_output(command):
+    """The lines the README shows under ``$ command``, up to the fence."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index(f"$ {command}") + 1
+    return lines[start:lines.index("```", start)]
 
-    assert Path(HONEST).read_text() == RPC_HONEST
-    assert Path(SPLICE).read_text() == RPC_SPLICE
-    assert (ROOT / "attacks" / "or_honest.dsl").read_text() == OR_HONEST
+
+@pytest.mark.parametrize("command", [
+    "dymon run rpc-flawed attacks/rpcattack_1.dsl",
+    "dymon fuzz rpc-flawed --count 200 --seed 7",
+])
+def test_readme_examples_print_what_the_readme_shows(capsys, monkeypatch, command):
+    monkeypatch.chdir(ROOT)
+    _, out, _ = run_cli(capsys, *shlex.split(command)[1:])
+
+    def masked(lines):  # the elapsed time is the one varying figure
+        return [re.sub(r" in [0-9.]+s$", " in <elapsed>", line) for line in lines]
+
+    assert masked(out.splitlines()) == masked(_readme_output(command))
 
 
 def test_run_honest_exits_zero(capsys):

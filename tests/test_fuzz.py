@@ -12,10 +12,13 @@ from dymon import (
     fuzz_attacks,
     generate_program,
     interface_for,
+    level,
     run_attack,
     validate_attack,
+    weak_secrecy_violations,
 )
 from dymon.scripts import CORPUS
+from oracles import HIGH, LOW, saturate
 
 
 def test_generated_programs_are_well_typed():
@@ -78,22 +81,49 @@ class _RepeatingSource:
         return b"\x42" * nbytes
 
 
+def _check_sound(protocol, result, oracle):
+    # broken crypto may cost a correct variant its verdict, never earn it
+    # an attack: a decisive failure there is unsound, and so is an
+    # assumption failure without a record or a Low key nobody leaked
+    state, verdict = result.state, result.verdict
+    if protocol != "rpc-flawed":
+        assert verdict.kind not in (
+            VerdictKind.ASSERTION_FAILURE, VerdictKind.CONTRACT_VIOLATION,
+        )
+    if verdict.kind is VerdictKind.ASSUMPTION_FAILURE:
+        assert state.failures
+        assert verdict.detail == state.failures[0].kind.value
+    assert weak_secrecy_violations(state.log) == []
+    if oracle:
+        terms = state.table.by_term
+        truth = saturate(terms, state.log)
+        for t in terms:
+            for lv in (LOW, HIGH):
+                assert level(lv, t, state.log) == ((lv, t) in truth)
+
+
 def test_run_reports_match_pinned_digest():
     # every corpus program plus 200 generated ones per protocol, each run
     # with the default primitives, a 1-byte MAC and a repeating random
     # source: ok, deadlock, assertion- and assumption-failure verdicts,
-    # suppressed assertions, events, tables and failure records
+    # suppressed assertions, events, tables and failure records; every
+    # run is also checked for soundness, every tenth against the oracle
     h = hashlib.sha256()
     kinds = set()
+    runs = 0
     for seed, protocol in enumerate(("rpc-correct", "rpc-flawed", "otway-rees")):
         rng = random.Random(seed)
         programs = list(CORPUS[protocol])
         programs += [generate_program(rng, protocol, 32) for _ in range(200)]
         for i, program in enumerate(programs):
             for kw in ({}, {"mac_fn": lambda k, m: b"\x00"}, {"rand": _RepeatingSource()}):
-                r = run_attack(program, protocol, seed=i, **kw).to_report()
+                result = run_attack(program, protocol, seed=i, **kw)
+                r = result.to_report()
                 kinds.add(r["verdict"]["kind"])
                 h.update(json.dumps(r, sort_keys=True).encode())
+                _check_sound(protocol, result, oracle=runs % 10 == 0)
+                runs += 1
+    assert runs == 1815
     assert kinds == {"ok", "deadlock", "assertion-failure", "assumption-failure"}
     assert h.hexdigest() == (
         "d7cce2fcad5845570f8015cf5884dab2c258b493c0968f9a416589c3e63fffdb"

@@ -65,9 +65,8 @@ def test_role_cannot_send_secret_data():
         rt.role_write(ch, key)
         yield ch
 
-    rt.spawn("leaky", leaky())
     with pytest.raises(_StopRun):
-        rt.drain()
+        rt.spawn("leaky", leaky())
     assert rt.finalize().kind is VerdictKind.CONTRACT_VIOLATION
     assert rt.finalize().exit_code == 13
 
@@ -88,7 +87,7 @@ def test_att_read_empty_channel_is_deadlock():
     assert "c" in v.location
 
 
-def test_att_read_drains_runnable_roles_first():
+def test_spawn_runs_the_role_before_returning():
     rt = make_rt()
     ch = Channel("c")
 
@@ -108,9 +107,8 @@ def test_assert_event_failure_decides_run():
         rt.assert_event(False, "liar", "always fails")
         yield
 
-    rt.spawn("liar", liar())
     with pytest.raises(_StopRun):
-        rt.drain()
+        rt.spawn("liar", liar())
     v = rt.finalize()
     assert v.kind is VerdictKind.ASSERTION_FAILURE
     assert v.location == "liar"
@@ -171,20 +169,20 @@ def test_finalize_ok_when_everyone_finished():
     assert rt.finalize().kind is VerdictKind.OK
 
 
+def _parked(ch, order, name):
+    # parks on ch and records its name when a write there wakes it
+    yield ch
+    order.append(name)
+
+
 def test_scheduling_is_deterministic_in_seed():
     def run_once(seed):
         rt = make_rt(seed=seed)
         ch = Channel("c")
         order = []
-
-        def talker(name):
-            order.append(name)
-            return
-            yield
-
         for name in ("a", "b", "c", "d", "e"):
-            rt.spawn(name, talker(name))
-        rt.drain()
+            rt.spawn(name, _parked(ch, order, name))
+        rt.att_write(ch, rt.cs.w_to_string(b"go"))
         return order
 
     assert run_once(3) == run_once(3)
@@ -195,6 +193,7 @@ def test_scheduling_is_deterministic_in_seed():
 def test_schedule_is_one_seeded_shuffle_per_drain_of_several_roles():
     for seed in range(10):
         rt = make_rt(seed=seed)
+        ch = Channel("c")
         order = []
 
         def talker(name):
@@ -204,11 +203,10 @@ def test_schedule_is_one_seeded_shuffle_per_drain_of_several_roles():
 
         # a drain with one runnable role draws nothing from the scheduler
         rt.spawn("alone", talker("alone"))
-        rt.drain()
         names = ["a", "b", "c", "d"]
         for name in names:
-            rt.spawn(name, talker(name))
-        rt.drain()
+            rt.spawn(name, _parked(ch, order, name))
+        rt.att_write(ch, rt.cs.w_to_string(b"go"))
         expected = list(names)
         random.Random(seed ^ 0x5EED).shuffle(expected)
         assert order == ["alone"] + expected
