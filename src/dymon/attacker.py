@@ -28,7 +28,6 @@ from typing import Mapping, Optional
 
 from .backend import RandomSource
 from .errors import ContractViolationError, MalformedPairError, TableAuditError
-from .levels import Level, level
 from .runtime import Runtime, Verdict, _StopRun
 from .state import CryptoState, initial_state
 from .terms import STANDARD, Convention, render_event
@@ -64,8 +63,7 @@ _SES = ValueKind.SESSION
 def _as_bytespub(rt: Runtime, data: bytes) -> bytes:
     # every bytespub the attacker holds is registered and public; this is
     # an internal invariant of the interface, not a caller obligation
-    t = rt.cs.term_of(data)
-    if t is None or not level(Level.LOW, t, rt.cs.log):
+    if rt.cs.public_term(data) is None:
         raise TableAuditError("attacker holds a non-public bytespub")
     return data
 

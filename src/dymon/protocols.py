@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 from .backend import DEFAULT_KEY_LEN
 from .errors import AuthFailureError, MalformedPairError
-from .levels import Level, level
 from .runtime import Channel, Runtime
 from .state import CryptoState
 from .terms import (
@@ -100,12 +99,8 @@ class OrSession:
 
 def _principal_term(cs: CryptoState, pub: bytes) -> Term | None:
     """Principals must be registered public literals."""
-    t = cs.term_of(pub)
-    if t is None or not isinstance(t, Literal):
-        return None
-    if not level(Level.LOW, t, cs.log):
-        return None
-    return t
+    t = cs.public_term(pub)
+    return t if isinstance(t, Literal) else None
 
 
 def setup_rpc(rt: Runtime, client_pub: bytes, server_pub: bytes) -> RpcSession | None:

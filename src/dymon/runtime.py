@@ -33,7 +33,6 @@ from typing import Iterator, NoReturn, Optional
 
 from .backend import RandomSource
 from .errors import ContractViolationError
-from .levels import Level, level
 from .state import CryptoState
 
 
@@ -164,10 +163,9 @@ class Runtime:
         return ch.to_net.popleft()
 
     def _check_public(self, data: bytes, location: str):
-        t = self.cs.term_of(data)
-        if t is None:
-            raise ContractViolationError(location, "unregistered bytes")
-        if not level(Level.LOW, t, self.cs.log):
+        if self.cs.public_term(data) is None:
+            if self.cs.term_of(data) is None:
+                raise ContractViolationError(location, "unregistered bytes")
             raise ContractViolationError(location, "attempt to send a non-public value")
 
     # -- verdicts ------------------------------------------------------------

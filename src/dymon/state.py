@@ -10,13 +10,13 @@ table when the run ends.
 Registration is where the symbolic fiction meets reality.  If two distinct
 terms ever produce the same bytes (or one term two byte strings), the
 symbolic model's injectivity assumption is broken: the wrapper records a
-sticky Collision assumption failure instead of updating the table.  A run
-with a recorded assumption failure cannot fail an assertion afterwards,
-because the verdict machinery suppresses them.
+sticky Collision assumption failure instead of updating the table.
 
 Wrapper preconditions guard honest role code; breaking one raises
-ContractViolationError, which is a verdict of its own (a bug in the code
-under test, not an attack and not bad luck).
+ContractViolationError, a verdict of its own (a bug in the code under
+test, not an attack and not bad luck).  During a run ``CryptoState`` is
+the only caller of ``level``: the MAC and encryption contracts ask if the
+term they would register is High, other modules ask ``public_term``.
 """
 
 from __future__ import annotations
@@ -87,13 +87,14 @@ class RepresentationTable:
 class CryptoState:
     """Log + table + sticky assumption failures, with the wrapper surface.
 
-    The audit always runs.  After every wrapper call it checks that nothing
-    shrank, that the log is good, that both table sides have the same size,
-    and that the entries added since the last audit are bijective,
-    transparent and High; ``rescan`` repeats the entry checks over the whole
-    table once a run ends.  Older entries need no re-check between calls
-    because High is monotone in the log.  Registration-time checks (term
-    High, literal transparency) guard runtime soundness on their own.
+    The only caller of ``level`` during a run.  The audit always runs, also
+    after an assumption failure: after every wrapper call it checks that
+    nothing shrank, that the log is good, that both table sides have the
+    same size, and that the entries added since the last audit are
+    bijective, transparent and High; ``rescan`` repeats the entry checks
+    over the whole table once a run ends.  Older entries need no re-check
+    between calls because High is monotone in the log.  Registration-time
+    checks (term High, literal transparency) guard soundness on their own.
     """
 
     def __init__(
@@ -121,6 +122,11 @@ class CryptoState:
 
     def term_of(self, data: bytes) -> Optional[Term]:
         return self.table.by_bytes.get(data)
+
+    def public_term(self, data: bytes) -> Optional[Term]:
+        """The term registered for data if it is Low, else None."""
+        t = self.table.by_bytes.get(data)
+        return t if t is not None and level(_LOW, t, self.log) else None
 
     def _require_registered(self, data: bytes, location: str) -> Term:
         t = self.table.by_bytes.get(data)
@@ -230,15 +236,13 @@ class CryptoState:
     def w_hmacsha1(self, key: bytes, msg: bytes) -> bytes:
         tk = self._require_registered(key, "hmacsha1")
         tm = self._require_registered(msg, "hmacsha1")
-        if not (
-            can_hmac(tk, tm, self.log)
-            or (level(_LOW, tk, self.log) and level(_LOW, tm, self.log))
-        ):
+        t = Hmac(tk, tm)
+        if not level(_HIGH, t, self.log):
             raise ContractViolationError(
                 "hmacsha1", "payload not sayable under key usage and key not public"
             )
         digest = self.mac_fn(key, msg)
-        self._register(digest, Hmac(tk, tm))
+        self._register(digest, t)
         self._post_op()
         return digest
 
@@ -274,15 +278,13 @@ class CryptoState:
     def w_senc(self, key: bytes, plaintext: bytes) -> bytes:
         tk = self._require_registered(key, "senc")
         tp = self._require_registered(plaintext, "senc")
-        if not (
-            can_senc(tk, tp, self.log)
-            or (level(_LOW, tk, self.log) and level(_LOW, tp, self.log))
-        ):
+        t = SEnc(tk, tp)
+        if not level(_HIGH, t, self.log):
             raise ContractViolationError(
                 "senc", "plaintext not a well-formed ticket and key not public"
             )
         out = backend.senc(key, plaintext)
-        self._register(out, SEnc(tk, tp))
+        self._register(out, t)
         self._post_op()
         return out
 
@@ -321,10 +323,9 @@ class CryptoState:
     def _post_op(self):
         self.wrapper_calls += 1
         table_len, log_len = len(self.table), len(self.log)
-        if not self.failures:
-            if table_len < self._last_table_len or log_len < self._last_log_len:
-                raise TableAuditError("state shrank")
-            self._check(table_len - self._last_table_len)
+        if table_len < self._last_table_len or log_len < self._last_log_len:
+            raise TableAuditError("state shrank")
+        self._check(table_len - self._last_table_len)
         self._last_table_len, self._last_log_len = table_len, log_len
 
     def rescan(self):

@@ -7,6 +7,16 @@ from pathlib import Path
 
 import pytest
 
+from dymon import (
+    OR_HONEST,
+    RPC_HONEST,
+    RPC_SPLICE,
+    Level,
+    level,
+    parse_term,
+    render_term,
+    run_attack,
+)
 from dymon.cli import _load_log, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -111,6 +121,21 @@ def test_dump_and_query_round_trip(tmp_path, capsys):
     assert code == 0 and "= true" in out
     code, out, _ = run_cli(capsys, "query", str(dump), "--level", "low", "--term", key_term)
     assert code == 1 and "= false" in out
+
+
+@pytest.mark.parametrize("protocol, script", [
+    ("rpc-correct", RPC_HONEST),
+    ("rpc-flawed", RPC_SPLICE),
+    ("otway-rees", OR_HONEST),
+], ids=["rpc-correct", "rpc-flawed", "otway-rees"])
+def test_dump_reads_back_to_the_same_levels(tmp_path, protocol, script):
+    state = run_attack(script, protocol, seed=3).state
+    dump = tmp_path / "log.json"
+    dump.write_text(json.dumps(state.dump()))
+    loaded = _load_log(str(dump))
+    for t in state.table.by_term:
+        for lv in (Level.LOW, Level.HIGH):
+            assert level(lv, parse_term(render_term(t)), loaded) == level(lv, t, state.log)
 
 
 def test_query_plain_event_lines_and_explain(tmp_path, capsys):

@@ -300,3 +300,26 @@ def test_engine_matches_saturation_oracle_sample():
         for t in universe:
             for lv in (LOW, HIGH):
                 assert level(lv, t, log) == ((lv, t) in truth)
+
+
+def test_high_mac_and_ciphertext_mean_sayable_or_both_public():
+    # w_hmacsha1 and w_senc refuse a call unless the term they would
+    # register is High; their payload is registered, so High, and over a
+    # High payload that must mean: sayable, or key and payload both Low
+    rng = random.Random(7)
+    seen = {(Hmac, True): 0, (Hmac, False): 0, (SEnc, True): 0, (SEnc, False): 0}
+    for _ in range(300):
+        log, universe = random_instance(rng)
+        for t in universe:
+            if not isinstance(t, (Hmac, SEnc)):
+                continue
+            payload = t.msg if isinstance(t, Hmac) else t.body
+            if not level(HIGH, payload, log):
+                continue
+            sayable = can_hmac if isinstance(t, Hmac) else can_senc
+            expected = sayable(t.key, payload, log) or (
+                level(LOW, t.key, log) and level(LOW, payload, log)
+            )
+            assert level(HIGH, t, log) == expected, t
+            seen[type(t), expected] += 1
+    assert all(seen.values()), seen

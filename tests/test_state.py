@@ -331,6 +331,14 @@ def test_audit_rejects_non_bijection():
         cs.w_to_string(b"poke")
 
 
+def test_audit_keeps_running_after_an_assumption_failure():
+    cs = initial_state()
+    cs._record_failure(AssumptionKind.LUCKY_GUESS, b"x", None, None)
+    cs.table.by_term[Literal(b"stray")] = b"stray"  # one-sided insert
+    with pytest.raises(TableAuditError, match="disagree"):
+        cs.w_to_string(b"poke")
+
+
 def test_register_refuses_non_transparent_literal():
     cs = initial_state()
     with pytest.raises(TableAuditError):
