@@ -17,14 +17,17 @@ The interpreter applies the call rule to one statement at a time and does
 nothing else.  It schedules no role: the runtime runs every role that
 starting a role (att_run_*) or delivering a message (att_channel_write)
 wakes before the call returns, so no role is runnable between two
-statements.
+statements.  It takes well-typed statements from any iterable and takes
+none after the run has ended, so the fuzzer's generator draws each
+statement only when it is about to run; run_attack parses and validates
+a program from outside before handing it over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .backend import RandomSource
 from .errors import ContractViolationError, MalformedPairError, TableAuditError
@@ -36,6 +39,7 @@ from .dsl import (
     AttackProgram,
     Call,
     Signature,
+    Statement,
     ValueKind,
     parse_attack,
     validate_attack,
@@ -210,18 +214,24 @@ def run_attack(
     mac_fn=None,
 ) -> RunResult:
     """Execute an attack program against a protocol and judge the run."""
-    table, interface, convention = _lookup(protocol)
+    interface = interface_for(protocol)
     if isinstance(program, str):
         program = parse_attack(program)
     validate_attack(program, interface)
+    return _run(program.statements, protocol, seed, rand, mac_fn)
 
+
+def _run(statements: Iterable[Statement], protocol: str, seed: int, rand, mac_fn) -> RunResult:
+    """Run well-typed statements, taking none after the run has ended, and
+    judge the run."""
+    table, _, convention = _lookup(protocol)
     cs = initial_state(convention=convention, mac_fn=mac_fn)
     rt = Runtime(cs, seed=seed, rand=rand)
     env: dict[str, object] = {}
 
     # the call rule (see the module docstring)
     try:
-        for st in program.statements:
+        for st in statements:
             if isinstance(st, AssignString):
                 env[st.var] = st.value
             elif isinstance(st, Call):

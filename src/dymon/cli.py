@@ -27,7 +27,7 @@ from .errors import AttackSyntaxError, TermSyntaxError
 from .fuzz import fuzz_attacks
 from .levels import Level, explain, level
 from .scripts import HONEST_DRIVERS
-from .terms import Convention, Log, parse_event, parse_term
+from .terms import Convention, Log, parse_event, parse_term, render_term
 
 
 def _non_negative(text: str) -> int:
@@ -138,7 +138,10 @@ def _cmd_run(args) -> int:
             f" (suppressed failures: {result.suppressed})"
         )
         for f in result.state.failures:
-            print(f"assumption failure: {f.kind.value} on 0x{f.data.hex()} {f.note}".rstrip())
+            named = (("existing", f.existing), ("attempted", f.attempted))
+            terms = "".join(f"; {what} {render_term(t)}" for what, t in named if t is not None)
+            line = f"assumption failure: {f.kind.value} on 0x{f.data.hex()} {f.note}".rstrip()
+            print(line + terms)
         for note in result.state.soundness_notes:
             print(f"soundness note: {note}")
     return result.verdict.exit_code

@@ -1,11 +1,15 @@
 """Type-directed random generation of attack programs, plus the fuzz loop.
 
 Programs are generated straight against the typed attacker interface, so
-every generated program is well formed by construction.  The loop replays
-the embedded corpus first (known-interesting programs), then generated
-ones, and buckets runs by verdict.  Runs whose verdict is a decisive
-assertion failure are kept verbatim as counterexamples; every run is also
-swept for weak-secrecy violations in its final log.
+every generated statement is well formed by construction.  The loop runs
+the embedded corpus first (known-interesting programs, validated like any
+program from outside), then generated ones, and buckets runs by verdict.
+A generated statement is drawn only when the interpreter asks for it: it
+runs once, as it is drawn, without being validated again, and none is
+drawn after the run has ended.  Runs whose verdict is a decisive assertion
+failure are kept as counterexamples: the corpus text, or exactly the
+generated statements that ran.  Every run is also swept for weak-secrecy
+violations in its final log.
 
 Everything is deterministic in (protocol, count, max_len, seed).
 """
@@ -17,8 +21,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import Iterator
 
-from .attacker import interface_for, run_attack
+from .attacker import _run, interface_for, run_attack
 from .dsl import (
     AssignString,
     AttackProgram,
@@ -76,57 +81,41 @@ def _menu(protocol: str, ready: frozenset[ValueKind]) -> tuple[tuple, tuple[int,
     return menu
 
 
-class _Builder:
-    def __init__(self, rng: random.Random):
-        self.rng = rng
-        self.statements: list[Statement] = []
-        self.pools: dict[ValueKind, list[str]] = {k: [] for k in ValueKind}
-        self.ready: frozenset[ValueKind] = frozenset()  # kinds with a non-empty pool
-        self._next = 0
-        self.commands = 0
-
-    def _fresh(self, kind: ValueKind) -> str:
-        name = f"v{self._next}"
-        self._next += 1
-        self.statements.append(Decl(name, kind))
-        pool = self.pools[kind]
-        if not pool:
-            self.ready |= {kind}
-        pool.append(name)
-        return name
-
-    def emit_string(self, value: bytes) -> str:
-        name = self._fresh(ValueKind.STRING)
-        self.statements.append(AssignString(name, value))
-        self.commands += 1
-        return name
-
-    def emit_call(self, fn: str, params, result) -> None:
-        args = tuple(self.rng.choice(self.pools[p]) for p in params)
-        var = None if result is None else self._fresh(result)
-        self.statements.append(Call(fn, args, var))
-        self.commands += 1
+def _statements(rng: random.Random, protocol: str, max_len: int) -> Iterator[Statement]:
+    """Yield a random well-typed program of at most max_len commands,
+    drawing each statement from rng only when it is asked for."""
+    interface_for(protocol)  # unknown protocols fail at the first draw
+    pools: dict[ValueKind, list[str]] = {k: [] for k in ValueKind}
+    ready: frozenset[ValueKind] = frozenset()  # kinds with a non-empty pool
+    names = 0
+    # seed the pools: a couple of principal names and payload words, so the
+    # setup and conversion functions are callable from the start
+    words = rng.sample(_WORDS[:4], k=2) + rng.sample(_WORDS, k=2)
+    for n in range(max_len):
+        if n < len(words):
+            kind = ValueKind.STRING
+        else:
+            # cum_weights draws the same random() and picks the same entry
+            # as weights= over the same list would
+            fns, cum = _menu(protocol, ready)
+            fn, sig = rng.choices(fns, cum_weights=cum)[0]
+            args = tuple(rng.choice(pools[p]) for p in sig.params)
+            kind = sig.result
+        var = None
+        if kind is not None:
+            var = f"v{names}"
+            names += 1
+            yield Decl(var, kind)
+            pool = pools[kind]
+            if not pool:
+                ready |= {kind}
+            pool.append(var)
+        yield AssignString(var, words[n]) if n < len(words) else Call(fn, args, var)
 
 
 def generate_program(rng: random.Random, protocol: str, max_len: int) -> AttackProgram:
     """Random well-typed straight-line program with at most max_len commands."""
-    interface_for(protocol)  # unknown protocols fail here, not at the first call
-    b = _Builder(rng)
-
-    # seed the pools: a couple of principal names and payload words, so the
-    # setup and conversion functions are callable from the start
-    for word in rng.sample(_WORDS[:4], k=2) + list(rng.sample(_WORDS, k=2)):
-        if b.commands >= max_len:
-            break
-        b.emit_string(word)
-
-    while b.commands < max_len:
-        # cum_weights draws the same random() and picks the same entry as
-        # weights= over the same list would
-        fns, cum = _menu(protocol, b.ready)
-        fn, sig = rng.choices(fns, cum_weights=cum)[0]
-        b.emit_call(fn, sig.params, sig.result)
-    return AttackProgram(tuple(b.statements))
+    return AttackProgram(tuple(_statements(rng, protocol, max_len)))
 
 
 @dataclass
@@ -175,18 +164,22 @@ def fuzz_attacks(
         if i < len(corpus):
             program = corpus[i]
             out.corpus_runs += 1
+            result = run_attack(program, protocol, seed=run_seed)
         else:
-            program = generate_program(rng, protocol, max_len)
-        result = run_attack(program, protocol, seed=run_seed)
+            # ran records the statements as they run, for a counterexample
+            ran: list[Statement] = []
+            drawn = _statements(rng, protocol, max_len)
+            result = _run((ran.append(st) or st for st in drawn), protocol, run_seed, None, None)
         histogram[result.verdict.kind.value] += 1
 
         if result.verdict.kind is VerdictKind.ASSERTION_FAILURE:
-            text = program if isinstance(program, str) else format_attack(program)
+            if i >= len(corpus):
+                program = format_attack(AttackProgram(tuple(ran)))
             out.counterexamples.append({
                 "iteration": i,
                 "seed": run_seed,
                 "verdict": result.verdict.to_dict(),
-                "program": text,
+                "program": program,
             })
         for lit, usage in weak_secrecy_violations(result.state.log):
             out.secrecy_violations.append({

@@ -274,18 +274,16 @@ class Log:
         "convention",
         "good",
         "_events",
-        "_set",
         "_usages",
         "_responses",
         "_memo_low",
         "_memo_high",
     )
 
-    def __init__(self, events, eset, usages, responses, good, convention):
+    def __init__(self, events, usages, responses, good, convention):
         self.convention = convention
         self.good = good
-        self._events = events
-        self._set = eset
+        self._events = events  # event -> None, in insertion order
         self._usages = usages
         self._responses = responses
         # level results per term, one dict per level (see levels.level)
@@ -294,10 +292,10 @@ class Log:
 
     @classmethod
     def empty(cls, convention: Convention = STANDARD) -> "Log":
-        return cls((), frozenset(), {}, (), True, convention)
+        return cls({}, {}, (), True, convention)
 
     def add(self, e: Event) -> "Log":
-        if e in self._set:
+        if e in self._events:
             return self
         usages = self._usages
         good = self.good
@@ -311,14 +309,9 @@ class Log:
         responses = self._responses
         if isinstance(e, Response):
             responses = responses + (e,)
-        return Log(
-            self._events + (e,),
-            self._set | {e},
-            usages,
-            responses,
-            good,
-            self.convention,
-        )
+        events = self._events.copy()
+        events[e] = None
+        return Log(events, usages, responses, good, self.convention)
 
     def usages_of(self, t: Term) -> tuple[Usage, ...]:
         return self._usages.get(t, ())
@@ -332,24 +325,24 @@ class Log:
         return self._responses
 
     def leq(self, other: "Log") -> bool:
-        return self._set <= other._set
+        return self._events.keys() <= other._events.keys()
 
     def __contains__(self, e: Event) -> bool:
-        return e in self._set
+        return e in self._events
 
     def __iter__(self):
         return iter(self._events)
 
     def __len__(self) -> int:
-        return len(self._set)
+        return len(self._events)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Log):
             return NotImplemented
-        return self._set == other._set
+        return self._events.keys() == other._events.keys()
 
     def __hash__(self):
-        return hash(self._set)
+        return hash(frozenset(self._events))
 
     def __repr__(self) -> str:
         return f"<Log {len(self)} events>"

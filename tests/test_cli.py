@@ -17,6 +17,7 @@ from dymon import (
     render_term,
     run_attack,
 )
+from dymon import cli
 from dymon.cli import _load_log, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,6 +78,22 @@ def test_run_json_is_byte_stable(capsys):
     doc = json.loads(out1)
     assert doc["verdict"]["kind"] == "ok"
     assert doc["seed"] == 5
+
+
+def test_run_assumption_failure_names_both_terms(capsys, monkeypatch):
+    # a 1-byte MAC makes the second MAC collide with the first
+    monkeypatch.setattr(
+        cli, "run_attack",
+        lambda *a, **kw: run_attack(*a, **kw, mac_fn=lambda k, m: b"\x00"),
+    )
+    code, out, _ = run_cli(capsys, "run", "rpc-correct", SPLICE, "--seed", "3")
+    assert code == 11
+    line = next(ln for ln in out.splitlines() if ln.startswith("assumption failure: collision"))
+    existing, attempted = re.fullmatch(
+        r"assumption failure: collision on 0x00; existing (\S+); attempted (\S+)", line
+    ).groups()
+    assert existing.startswith("Hmac(") and attempted.startswith("Hmac(")
+    assert parse_term(existing) != parse_term(attempted)
 
 
 def test_run_needs_script_or_honest_flag(capsys):

@@ -1,24 +1,32 @@
 """Fuzz loop: determinism, corpus handling, generation discipline."""
 
 import hashlib
+import importlib
 import json
 import random
+from collections import Counter
+from itertools import islice
 
 import pytest
 
 from dymon import (
+    AttackProgram,
     VerdictKind,
     format_attack,
     fuzz_attacks,
     generate_program,
     interface_for,
     level,
+    parse_attack,
     run_attack,
     validate_attack,
     weak_secrecy_violations,
 )
+from dymon.dsl import Call
 from dymon.scripts import CORPUS
 from oracles import HIGH, LOW, saturate
+
+fuzz = importlib.import_module("dymon.fuzz")
 
 
 def test_generated_programs_are_well_typed():
@@ -59,7 +67,7 @@ def test_generation_matches_pinned_digest(protocol, max_len):
 
 def test_fuzz_histogram_matches_pinned_run():
     r = fuzz_attacks("otway-rees", 200, 64, seed=5).to_report()
-    assert r["histogram"] == {"deadlock": 141, "ok": 59}
+    assert r["histogram"] == {"deadlock": 146, "ok": 54}
     assert r["counterexamples"] == [] and r["secrecy_violations"] == []
 
 
@@ -68,10 +76,74 @@ def test_fuzz_report_matches_pinned_run():
     r = fuzz_attacks("rpc-flawed", 400, 16, seed=7).to_report()
     del r["elapsed_seconds"]
     text = json.dumps(r, sort_keys=True)
-    assert r["histogram"] == {"assertion-failure": 1, "deadlock": 203, "ok": 196}
+    assert r["histogram"] == {"assertion-failure": 1, "deadlock": 230, "ok": 169}
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "d3dc575151c6a1422077e6963f50b6e22fdd0271e21d83517dda28c41b7c930f"
+        "914ef8679d1289c8ca235509e02506839ae3777e43cd1f9c8c67df2f3b5060fb"
     )
+
+
+def test_generated_runs_agree_with_run_attack(monkeypatch):
+    # the fuzz loop runs each generated statement as it is drawn, without
+    # validating it: every such run must be the run_attack of its text, a
+    # prefix of the program drawn from the same state, and shorter than
+    # that program only when its last statement ended the run
+    draws, runs, corpus = [], [], Counter()
+    draw, run, replay = fuzz._statements, fuzz._run, fuzz.run_attack
+
+    def recording_draw(rng, protocol, max_len):
+        draws.append((rng, rng.getstate()))
+        return draw(rng, protocol, max_len)
+
+    def recording_run(statements, protocol, seed, *rest):
+        taken = []
+        result = run((taken.append(st) or st for st in statements), protocol, seed, *rest)
+        after = draws[-1][0].getstate()
+        runs.append((tuple(taken), after, seed, result.to_report()))
+        return result
+
+    def recording_replay(*args, **kwargs):
+        result = replay(*args, **kwargs)
+        corpus[result.verdict.kind.value] += 1
+        return result
+
+    monkeypatch.setattr(fuzz, "_statements", recording_draw)
+    monkeypatch.setattr(fuzz, "_run", recording_run)
+    monkeypatch.setattr(fuzz, "run_attack", recording_replay)
+    for protocol in ("rpc-correct", "rpc-flawed", "otway-rees"):
+        iface = interface_for(protocol)
+        for max_len in (16, 64):
+            draws.clear()
+            runs.clear()
+            corpus.clear()
+            r = fuzz_attacks(protocol, 300, max_len, seed=max_len)
+            assert len(draws) == len(runs) == 300 - r.corpus_runs
+            verdicts = Counter(corpus)
+            for (_, state), (taken, after, seed, report) in zip(draws, runs):
+                verdicts[report["verdict"]["kind"]] += 1
+                program = parse_attack(format_attack(AttackProgram(taken)))
+                assert program.statements == taken
+                validate_attack(program, iface)
+                assert run_attack(program, protocol, seed=seed).to_report() == report
+                rng = random.Random()
+                rng.setstate(state)
+                full = generate_program(rng, protocol, max_len).statements
+                assert full[:len(taken)] == taken
+                if len(taken) == len(full):
+                    assert rng.getstate() == after
+                else:
+                    # nothing was drawn after the statement that ended the run
+                    rng.setstate(state)
+                    assert tuple(islice(draw(rng, protocol, max_len), len(taken))) == taken
+                    assert rng.getstate() == after
+                    assert isinstance(taken[-1], Call)
+                    whole = run_attack(AttackProgram(full), protocol, seed=seed)
+                    assert whole.to_report() == report
+                    if report["verdict"]["kind"] != "assumption-failure":
+                        # without its last statement the run ends differently;
+                        # an assumption failure would outrank either ending
+                        shorter = AttackProgram(taken[:-1])
+                        assert run_attack(shorter, protocol, seed=seed).to_report() != report
+            assert verdicts == r.histogram
 
 
 class _RepeatingSource:
