@@ -13,21 +13,25 @@ records an assumption failure.  Otherwise a bytespub result must be
 registered and Low: every bytespub the attacker holds is public, and one
 that is not is a TableAuditError, a fault in dymon itself.
 
-The interpreter applies the call rule to one statement at a time and does
-nothing else.  It schedules no role: the runtime runs every role that
+The interpreter runs steps, the compact form of a program's commands: a
+step is (fn, args, var), a call of fn on the variables args whose result
+goes to var (None to discard it), or (None, value, var) for the string
+literal value.  Declarations carry nothing the run needs and have no
+step.  The interpreter applies the call rule to one step at a time and
+does nothing else.  It schedules no role: the runtime runs every role that
 starting a role (att_run_*) or delivering a message (att_channel_write)
-wakes before the call returns, so no role is runnable between two
-statements.  It takes well-typed statements from any iterable and takes
-none after the run has ended, so the fuzzer's generator draws each
-statement only when it is about to run; run_attack parses and validates
-a program from outside before handing it over.
+wakes before the call returns, so no role is runnable between two steps.
+It takes well-typed steps from any iterable and takes none after the run
+has ended, so the fuzzer's generator draws each step only when it is
+about to run.  run_attack parses and validates a program from outside and
+turns its statements into steps before handing them over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Union
 
 from .backend import RandomSource
 from .errors import ContractViolationError, MalformedPairError, TableAuditError
@@ -37,7 +41,7 @@ from .terms import STANDARD, Convention, render_event
 from .dsl import (
     AssignString,
     AttackProgram,
-    Call,
+    Decl,
     Signature,
     Statement,
     ValueKind,
@@ -218,12 +222,24 @@ def run_attack(
     if isinstance(program, str):
         program = parse_attack(program)
     validate_attack(program, interface)
-    return _run(program.statements, protocol, seed, rand, mac_fn)
+    return _run(_to_steps(program.statements), protocol, seed, rand, mac_fn)
 
 
-def _run(statements: Iterable[Statement], protocol: str, seed: int, rand, mac_fn) -> RunResult:
-    """Run well-typed statements, taking none after the run has ended, and
-    judge the run."""
+# (fn, args, var) for a call, (None, value, var) for a string literal
+Step = tuple[Optional[str], Union[tuple[str, ...], bytes], Optional[str]]
+
+
+def _to_steps(statements: Iterable[Statement]) -> list[Step]:
+    """The steps of a program's statements; declarations have none."""
+    return [
+        (None, st.value, st.var) if isinstance(st, AssignString) else (st.fn, st.args, st.var)
+        for st in statements if not isinstance(st, Decl)
+    ]
+
+
+def _run(steps: Iterable[Step], protocol: str, seed: int, rand, mac_fn) -> RunResult:
+    """Run well-typed steps, taking none after the run has ended, and judge
+    the run."""
     table, _, convention = _lookup(protocol)
     cs = initial_state(convention=convention, mac_fn=mac_fn)
     rt = Runtime(cs, seed=seed, rand=rand)
@@ -231,23 +247,23 @@ def _run(statements: Iterable[Statement], protocol: str, seed: int, rand, mac_fn
 
     # the call rule (see the module docstring)
     try:
-        for st in statements:
-            if isinstance(st, AssignString):
-                env[st.var] = st.value
-            elif isinstance(st, Call):
-                args = [env[a] for a in st.args]
-                value = FAILED
-                if FAILED not in args:
-                    sig, impl = table[st.fn]
-                    before = len(cs.failures)
-                    try:
-                        result = impl(rt, *args)
-                    except ContractViolationError as exc:
-                        rt.contract_violation(exc)  # never returns
-                    if result is not None and len(cs.failures) == before:
-                        value = _as_bytespub(rt, result) if sig.result is _B else result
-                if st.var is not None:
-                    env[st.var] = value
+        for fn, args, var in steps:
+            if fn is None:
+                env[var] = args
+                continue
+            vals = [env[a] for a in args]
+            value = FAILED
+            if FAILED not in vals:
+                sig, impl = table[fn]
+                before = len(cs.failures)
+                try:
+                    result = impl(rt, *vals)
+                except ContractViolationError as exc:
+                    rt.contract_violation(exc)  # never returns
+                if result is not None and len(cs.failures) == before:
+                    value = _as_bytespub(rt, result) if sig.result is _B else result
+            if var is not None:
+                env[var] = value
     except _StopRun:
         pass
 

@@ -3,13 +3,19 @@
 import hashlib
 import importlib
 import json
+import os
 import random
+import subprocess
+import sys
+from bisect import bisect
 from collections import Counter
-from itertools import islice
+from itertools import combinations, islice
+from pathlib import Path
 
 import pytest
 
 from dymon import (
+    PROTOCOLS,
     AttackProgram,
     VerdictKind,
     format_attack,
@@ -22,7 +28,8 @@ from dymon import (
     validate_attack,
     weak_secrecy_violations,
 )
-from dymon.dsl import Call
+from dymon.attacker import _to_steps
+from dymon.dsl import AssignString, Call, Decl, ValueKind
 from dymon.scripts import CORPUS
 from oracles import HIGH, LOW, saturate
 
@@ -65,9 +72,16 @@ def test_generation_matches_pinned_digest(protocol, max_len):
     assert h.hexdigest() == digest
 
 
+# fuzz_attacks("otway-rees", 200, 64, seed=5) histogram and the SHA-256 of
+# the sorted-key JSON of the fuzz_attacks("rpc-flawed", 400, 16, seed=7)
+# report without elapsed_seconds
+PINNED_HISTOGRAM = {"deadlock": 146, "ok": 54}
+PINNED_REPORT_DIGEST = "914ef8679d1289c8ca235509e02506839ae3777e43cd1f9c8c67df2f3b5060fb"
+
+
 def test_fuzz_histogram_matches_pinned_run():
     r = fuzz_attacks("otway-rees", 200, 64, seed=5).to_report()
-    assert r["histogram"] == {"deadlock": 146, "ok": 54}
+    assert r["histogram"] == PINNED_HISTOGRAM
     assert r["counterexamples"] == [] and r["secrecy_violations"] == []
 
 
@@ -77,26 +91,24 @@ def test_fuzz_report_matches_pinned_run():
     del r["elapsed_seconds"]
     text = json.dumps(r, sort_keys=True)
     assert r["histogram"] == {"assertion-failure": 1, "deadlock": 230, "ok": 169}
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "914ef8679d1289c8ca235509e02506839ae3777e43cd1f9c8c67df2f3b5060fb"
-    )
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORT_DIGEST
 
 
 def test_generated_runs_agree_with_run_attack(monkeypatch):
-    # the fuzz loop runs each generated statement as it is drawn, without
+    # the fuzz loop runs each generated step as it is drawn, without
     # validating it: every such run must be the run_attack of its text, a
     # prefix of the program drawn from the same state, and shorter than
-    # that program only when its last statement ended the run
+    # that program only when its last step ended the run
     draws, runs, corpus = [], [], Counter()
-    draw, run, replay = fuzz._statements, fuzz._run, fuzz.run_attack
+    draw, run, replay = fuzz._steps, fuzz._run, fuzz.run_attack
 
-    def recording_draw(rng, protocol, max_len):
-        draws.append((rng, rng.getstate()))
-        return draw(rng, protocol, max_len)
+    def recording_draw(rng, protocol, max_len, ran):
+        draws.append((rng, rng.getstate(), ran))
+        return draw(rng, protocol, max_len, ran)
 
-    def recording_run(statements, protocol, seed, *rest):
+    def recording_run(steps, protocol, seed, *rest):
         taken = []
-        result = run((taken.append(st) or st for st in statements), protocol, seed, *rest)
+        result = run((taken.append(st) or st for st in steps), protocol, seed, *rest)
         after = draws[-1][0].getstate()
         runs.append((tuple(taken), after, seed, result.to_report()))
         return result
@@ -106,7 +118,7 @@ def test_generated_runs_agree_with_run_attack(monkeypatch):
         corpus[result.verdict.kind.value] += 1
         return result
 
-    monkeypatch.setattr(fuzz, "_statements", recording_draw)
+    monkeypatch.setattr(fuzz, "_steps", recording_draw)
     monkeypatch.setattr(fuzz, "_run", recording_run)
     monkeypatch.setattr(fuzz, "run_attack", recording_replay)
     for protocol in ("rpc-correct", "rpc-flawed", "otway-rees"):
@@ -118,32 +130,164 @@ def test_generated_runs_agree_with_run_attack(monkeypatch):
             r = fuzz_attacks(protocol, 300, max_len, seed=max_len)
             assert len(draws) == len(runs) == 300 - r.corpus_runs
             verdicts = Counter(corpus)
-            for (_, state), (taken, after, seed, report) in zip(draws, runs):
+            for (_, state, ran), (taken, after, seed, report) in zip(draws, runs):
                 verdicts[report["verdict"]["kind"]] += 1
-                program = parse_attack(format_attack(AttackProgram(taken)))
-                assert program.statements == taken
+                # a counterexample is rebuilt from ran
+                assert tuple(ran) == taken
+                program = parse_attack(format_attack(fuzz._program(taken, protocol)))
+                assert _to_steps(program.statements) == list(taken)
                 validate_attack(program, iface)
                 assert run_attack(program, protocol, seed=seed).to_report() == report
                 rng = random.Random()
                 rng.setstate(state)
-                full = generate_program(rng, protocol, max_len).statements
-                assert full[:len(taken)] == taken
-                if len(taken) == len(full):
+                full = generate_program(rng, protocol, max_len)
+                steps = _to_steps(full.statements)
+                assert steps[:len(taken)] == list(taken)
+                if len(taken) == len(steps):
                     assert rng.getstate() == after
                 else:
-                    # nothing was drawn after the statement that ended the run
+                    # nothing was drawn after the step that ended the run
                     rng.setstate(state)
-                    assert tuple(islice(draw(rng, protocol, max_len), len(taken))) == taken
+                    assert tuple(islice(draw(rng, protocol, max_len, []), len(taken))) == taken
                     assert rng.getstate() == after
-                    assert isinstance(taken[-1], Call)
-                    whole = run_attack(AttackProgram(full), protocol, seed=seed)
+                    assert taken[-1][0] is not None  # a call, not a literal
+                    whole = run_attack(full, protocol, seed=seed)
                     assert whole.to_report() == report
                     if report["verdict"]["kind"] != "assumption-failure":
-                        # without its last statement the run ends differently;
+                        # without its last step the run ends differently;
                         # an assumption failure would outrank either ending
-                        shorter = AttackProgram(taken[:-1])
+                        shorter = fuzz._program(taken[:-1], protocol)
                         assert run_attack(shorter, protocol, seed=seed).to_report() != report
             assert verdicts == r.histogram
+
+
+def _ready_sets():
+    # every set of kinds with a non-empty pool that a draw can see (the
+    # string pool is seeded before the first draw), and a few more
+    others = [k for k in ValueKind if k is not ValueKind.STRING]
+    for n in range(len(others) + 1):
+        for extra in combinations(others, n):
+            yield frozenset({ValueKind.STRING, *extra})
+
+
+def test_bisect_pick_agrees_with_random_choices():
+    # the generator picks fns[bisect(cum, random() * total, 0, hi)] from a
+    # cached menu; random.choices over the interface and the weights must
+    # pick the same function and leave the rng in the same state
+    for protocol in PROTOCOLS:
+        iface = interface_for(protocol)
+        for ready in _ready_sets():
+            fns, cum, total, hi = fuzz._menu(protocol, ready)
+            names = [fn for fn, sig in iface.items() if all(p in ready for p in sig.params)]
+            weights = [fuzz._WEIGHTS.get(fn, 2) for fn in names]
+            assert fns == tuple((fn, iface[fn].params, iface[fn].result) for fn in names)
+            for state_seed in range(300):
+                fast = random.Random(state_seed)
+                slow = random.Random()
+                slow.setstate(fast.getstate())
+                pick = fns[bisect(cum, fast.random() * total, 0, hi)][0]
+                assert slow.choices(names, weights=weights) == [pick]
+                assert slow.getstate() == fast.getstate()
+
+
+def _slow_program(rng, protocol, max_len):
+    # the reference generator: one Decl and one statement object per
+    # command, each function drawn by random.choices with weights=
+    iface = interface_for(protocol)
+    pools = {k: [] for k in ValueKind}
+    statements = []
+    words = rng.sample(fuzz._WORDS[:4], k=2) + rng.sample(fuzz._WORDS, k=2)
+    for n in range(max_len):
+        if n < len(words):
+            kind = ValueKind.STRING
+        else:
+            fns = [
+                fn for fn, sig in iface.items() if all(pools[p] for p in sig.params)
+            ]
+            fn = rng.choices(fns, weights=[fuzz._WEIGHTS.get(f, 2) for f in fns])[0]
+            args = tuple(rng.choice(pools[p]) for p in iface[fn].params)
+            kind = iface[fn].result
+        var = None
+        if kind is not None:
+            var = f"v{sum(map(len, pools.values()))}"
+            statements.append(Decl(var, kind))
+            pools[kind].append(var)
+        statements.append(AssignString(var, words[n]) if n < len(words) else Call(fn, args, var))
+    return AttackProgram(tuple(statements))
+
+
+def test_steps_rebuild_the_reference_program():
+    # the steps, with each Decl re-derived from the kind of what is
+    # assigned, format, parse and validate, and give the program and rng
+    # state of the reference generator
+    for i, protocol in enumerate(PROTOCOLS):
+        iface = interface_for(protocol)
+        fast, slow = random.Random(i), random.Random(i)
+        for n in range(200):
+            max_len = (0, 3, 4, 5, 16, 64, 100)[n % 7]
+            replay = random.Random()
+            replay.setstate(fast.getstate())
+            steps = []
+            for _ in fuzz._steps(fast, protocol, max_len, steps):
+                pass
+            program = fuzz._program(steps, protocol)
+            parsed = parse_attack(format_attack(program))
+            validate_attack(parsed, iface)
+            assert parsed == program == _slow_program(slow, protocol, max_len)
+            assert _to_steps(parsed.statements) == steps
+            assert fast.getstate() == slow.getstate()
+            assert generate_program(replay, protocol, max_len) == program
+            assert replay.getstate() == fast.getstate()
+
+
+def test_variable_names_have_no_cap():
+    for protocol in PROTOCOLS:
+        max_len = len(fuzz._NAMES) + 100  # beyond every name cached so far
+        p = generate_program(random.Random(4), protocol, max_len)
+        validate_attack(p, interface_for(protocol))
+        assert len(p.commands) == max_len
+        declared = [st.var for st in p.statements if isinstance(st, Decl)]
+        assert declared == [f"v{i}" for i in range(len(declared))]
+        assert len(declared) > max_len // 2
+
+
+_FRESH_REPORTS = """
+import json, sys
+from dymon import fuzz_attacks
+for args in json.loads(sys.argv[1]):
+    r = fuzz_attacks(*args).to_report()
+    del r["elapsed_seconds"]
+    print(json.dumps(r, sort_keys=True))
+"""
+
+
+def _reports(calls, fresh):
+    if not fresh:
+        reports = [fuzz_attacks(*c).to_report() for c in calls]
+        for r in reports:
+            del r["elapsed_seconds"]
+        return reports
+    src = str(Path(fuzz.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", _FRESH_REPORTS, json.dumps(calls)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    return [json.loads(line) for line in out.stdout.splitlines()]
+
+
+def test_fuzz_reports_do_not_depend_on_earlier_calls():
+    # the name and menu caches live as long as the process: a report must
+    # be the same whether earlier calls grew them or not
+    calls = [["rpc-flawed", 400, 16, 7], ["otway-rees", 20, 300, 1], ["otway-rees", 200, 64, 5]]
+    alone = [r for c in calls for r in _reports([c], fresh=True)]
+    assert _reports(calls, fresh=True) == alone
+    assert _reports(calls[::-1], fresh=True) == alone[::-1]
+    assert _reports(calls, fresh=False) == alone
+    text = json.dumps(alone[0], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORT_DIGEST
+    assert alone[2]["histogram"] == PINNED_HISTOGRAM
 
 
 class _RepeatingSource:
@@ -273,6 +417,16 @@ def test_fuzz_report_shape():
 def test_fuzz_rejects_negative_sizes(count, max_len):
     with pytest.raises(ValueError):
         fuzz_attacks("rpc-flawed", count, max_len)
+
+
+@pytest.mark.parametrize("count", [0, 5])
+def test_fuzz_rejects_unknown_protocol(count):
+    # rejected on entry, with run_attack's error, whether or not it draws
+    with pytest.raises(ValueError) as want:
+        run_attack("", "nope")
+    with pytest.raises(ValueError) as got:
+        fuzz_attacks("nope", count)
+    assert str(got.value) == str(want.value) == "unknown protocol 'nope'"
 
 
 def test_fuzz_accepts_zero_sizes():
