@@ -13,41 +13,29 @@ records an assumption failure.  Otherwise a bytespub result must be
 registered and Low: every bytespub the attacker holds is public, and one
 that is not is a TableAuditError, a fault in dymon itself.
 
-The interpreter runs steps, the compact form of a program's commands: a
-step is (fn, args, var), a call of fn on the variables args whose result
-goes to var (None to discard it), or (None, value, var) for the string
-literal value.  Declarations carry nothing the run needs and have no
-step.  The interpreter applies the call rule to one step at a time and
-does nothing else.  It schedules no role: the runtime runs every role that
-starting a role (att_run_*) or delivering a message (att_channel_write)
-wakes before the call returns, so no role is runnable between two steps.
-It takes well-typed steps from any iterable and takes none after the run
-has ended, so the fuzzer's generator draws each step only when it is
-about to run.  run_attack parses and validates a program from outside and
-turns its statements into steps before handing them over.
+The interpreter runs steps, the compact form of a program that dsl
+defines.  It applies the call rule to one step at a time and does nothing
+else.  It schedules no role: the runtime runs every role that starting a
+role (att_run_*) or delivering a message (att_channel_write) wakes before
+the call returns, so no role is runnable between two steps.  It takes
+well-typed steps from any iterable and takes none after the run has
+ended, so the fuzzer's generator draws each step only when it is about to
+run.  A program from outside goes through dsl's one pipeline: run_attack
+parses it, and validate_attack checks it and returns the steps to run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
 from .backend import RandomSource
 from .errors import ContractViolationError, MalformedPairError, TableAuditError
 from .runtime import Runtime, Verdict, _StopRun
 from .state import CryptoState, initial_state
 from .terms import STANDARD, Convention, render_event
-from .dsl import (
-    AssignString,
-    AttackProgram,
-    Decl,
-    Signature,
-    Statement,
-    ValueKind,
-    parse_attack,
-    validate_attack,
-)
+from .dsl import AttackProgram, Signature, Step, ValueKind, parse_attack, validate_attack
 from . import protocols
 
 PROTOCOLS = ("rpc-correct", "rpc-flawed", "otway-rees")
@@ -221,20 +209,7 @@ def run_attack(
     interface = interface_for(protocol)
     if isinstance(program, str):
         program = parse_attack(program)
-    validate_attack(program, interface)
-    return _run(_to_steps(program.statements), protocol, seed, rand, mac_fn)
-
-
-# (fn, args, var) for a call, (None, value, var) for a string literal
-Step = tuple[Optional[str], Union[tuple[str, ...], bytes], Optional[str]]
-
-
-def _to_steps(statements: Iterable[Statement]) -> list[Step]:
-    """The steps of a program's statements; declarations have none."""
-    return [
-        (None, st.value, st.var) if isinstance(st, AssignString) else (st.fn, st.args, st.var)
-        for st in statements if not isinstance(st, Decl)
-    ]
+    return _run(validate_attack(program, interface), protocol, seed, rand, mac_fn)
 
 
 def _run(steps: Iterable[Step], protocol: str, seed: int, rand, mac_fn) -> RunResult:

@@ -24,6 +24,17 @@ number it found violated:
     5. called functions exist in the interface and argument types match
     6. assignment targets match the assigned type (string literals go to
        string variables, call results to variables of the result type)
+
+A program has three forms, and this module owns every conversion between
+them.  Text is what people write and read; statements (`AttackProgram`)
+are its parsed form; steps are what the interpreter runs.  A step is
+(fn, args, var), a call of fn on the variables args whose result goes to
+var (None to discard it), or (None, value, var) for the string literal
+value; a declaration carries nothing a run needs and has no step.  There
+is one pipeline each way:
+
+    text -> parse_attack -> statements -> validate_attack -> steps -> run
+    steps -> program_of -> statements -> format_attack -> text
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional, Union
 
 from .errors import AttackSyntaxError
 
@@ -88,9 +99,9 @@ class Signature:
 class AttackProgram:
     statements: tuple[Statement, ...]
 
-    @property
-    def commands(self) -> tuple[Statement, ...]:
-        return tuple(s for s in self.statements if not isinstance(s, Decl))
+
+# (fn, args, var) for a call, (None, value, var) for a string literal
+Step = tuple[Optional[str], Union[tuple[str, ...], bytes], Optional[str]]
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +170,14 @@ def parse_attack(text: str) -> AttackProgram:
 # validation
 
 
-def validate_attack(program: AttackProgram, interface: Mapping[str, Signature]):
+def validate_attack(program: AttackProgram, interface: Mapping[str, Signature]) -> list[Step]:
+    """Check the program against the interface and return its steps, a new
+    list with one step per command in program order; raise
+    AttackSyntaxError with the line and the number of the first item
+    violated."""
     declared: dict[str, ValueKind] = {}
     assigned: set[str] = set()
+    steps: list[Step] = []
     for st in program.statements:
         line = st.line
         if isinstance(st, Decl):
@@ -170,6 +186,7 @@ def validate_attack(program: AttackProgram, interface: Mapping[str, Signature]):
             declared[st.var] = st.kind
             continue
         if isinstance(st, AssignString):
+            steps.append((None, st.value, st.var))
             source, result = "string literal", ValueKind.STRING
         else:
             fn = st.fn
@@ -191,6 +208,7 @@ def validate_attack(program: AttackProgram, interface: Mapping[str, Signature]):
                     raise AttackSyntaxError(
                         line, 5, f"{fn} argument {arg!r} has type {got.value}, needs {want.value}"
                     )
+            steps.append((fn, st.args, st.var))
             if st.var is None:
                 continue
             source, result = fn, sig.result
@@ -207,10 +225,27 @@ def validate_attack(program: AttackProgram, interface: Mapping[str, Signature]):
                 line, 6, f"{source} gives {result.value}, target is {kind.value}"
             )
         assigned.add(st.var)
+    return steps
 
 
 # ---------------------------------------------------------------------------
-# canonical formatting (parse . format == identity on programs)
+# back from steps, and canonical formatting (parse . format == identity on
+# programs)
+
+
+def program_of(steps: Iterable[Step], interface: Mapping[str, Signature]) -> AttackProgram:
+    """The program whose commands are the steps, each variable declared
+    just before its assignment with the kind of what is assigned; the
+    inverse of validate_attack on programs declared that way."""
+    statements: list[Statement] = []
+    for fn, args, var in steps:
+        if fn is None:
+            statements += (Decl(var, ValueKind.STRING), AssignString(var, args))
+            continue
+        if var is not None:
+            statements.append(Decl(var, interface[fn].result))
+        statements.append(Call(fn, args, var))
+    return AttackProgram(tuple(statements))
 
 
 def format_attack(program: AttackProgram) -> str:

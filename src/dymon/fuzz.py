@@ -2,18 +2,16 @@
 
 Programs are generated straight against the typed attacker interface, so
 every generated command is well formed by construction.  The loop runs
-the embedded corpus first (known-interesting programs, validated like any
-program from outside), then generated ones, and buckets runs by verdict.
-A generated command is drawn as a step, the interpreter's compact
-(fn, args, var) form (see attacker), only when the interpreter asks for
-it: it runs once, as it is drawn, without being validated again, and none
-is drawn after the run has ended.  No statement object is built on this
-path.  Statements, with each declaration re-derived from the kind of what
-is assigned, are built only by generate_program and for a kept
-counterexample.  Runs whose verdict is a decisive assertion failure are
-kept as counterexamples: the corpus text, or exactly the generated steps
-that ran.  Every run is also swept for weak-secrecy violations in its
-final log.
+the embedded corpus first (known-interesting programs, which run_attack
+parses and validates like any program from outside), then generated ones,
+and buckets runs by verdict.  A generated command is drawn as a step (see
+dsl) only when the interpreter asks for it: it runs once, as it is drawn,
+without being validated again, and none is drawn after the run has
+ended.  Only generate_program and a kept counterexample turn steps back
+into a program, with dsl.program_of.  Runs whose verdict is a decisive
+assertion failure are kept as counterexamples: the corpus text, or
+exactly the generated steps that ran.  Every run is also swept for
+weak-secrecy violations in its final log.
 
 Everything is deterministic in (protocol, count, max_len, seed).
 """
@@ -25,18 +23,10 @@ from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .attacker import Step, _run, interface_for, run_attack
-from .dsl import (
-    AssignString,
-    AttackProgram,
-    Call,
-    Decl,
-    Statement,
-    ValueKind,
-    format_attack,
-)
+from .attacker import _run, interface_for, run_attack
+from .dsl import AttackProgram, Step, ValueKind, format_attack, program_of
 from .levels import weak_secrecy_violations
 from .runtime import VerdictKind
 from .scripts import CORPUS
@@ -100,8 +90,8 @@ def _menu(protocol: str, ready: frozenset[ValueKind]) -> _Menu:
 def _steps(rng: random.Random, protocol: str, max_len: int, ran: list[Step]) -> Iterator[Step]:
     """Yield the steps of a random well-typed program of at most max_len
     commands, drawing each from rng only when it is asked for and
-    appending it to ran as it is yielded."""
-    interface_for(protocol)  # unknown protocols fail at the first draw
+    appending it to ran as it is yielded; the caller has checked that the
+    protocol exists."""
     pools: dict[ValueKind, list[str]] = {k: [] for k in ValueKind}
     # seed the pools: a couple of principal names and payload words, so the
     # setup and conversion functions are callable from the start
@@ -138,27 +128,13 @@ def _steps(rng: random.Random, protocol: str, max_len: int, ran: list[Step]) -> 
         yield step
 
 
-def _program(steps: Iterable[Step], protocol: str) -> AttackProgram:
-    """The program whose commands are the steps, each variable declared
-    just before its assignment with the type of what is assigned."""
-    interface = interface_for(protocol)
-    statements: list[Statement] = []
-    for fn, args, var in steps:
-        if fn is None:
-            statements += (Decl(var, ValueKind.STRING), AssignString(var, args))
-            continue
-        if var is not None:
-            statements.append(Decl(var, interface[fn].result))
-        statements.append(Call(fn, args, var))
-    return AttackProgram(tuple(statements))
-
-
 def generate_program(rng: random.Random, protocol: str, max_len: int) -> AttackProgram:
     """Random well-typed straight-line program with at most max_len commands."""
+    interface = interface_for(protocol)  # an unknown protocol fails before any draw
     steps: list[Step] = []
     for _ in _steps(rng, protocol, max_len, steps):
         pass
-    return _program(steps, protocol)
+    return program_of(steps, interface)
 
 
 @dataclass
@@ -196,7 +172,7 @@ def fuzz_attacks(
     """Run count attack programs against the protocol; corpus first."""
     if count < 0 or max_len < 0:
         raise ValueError(f"count and max_len must be >= 0, got {count} and {max_len}")
-    interface_for(protocol)  # an unknown protocol fails here, not at the first draw
+    interface = interface_for(protocol)  # an unknown protocol fails here, not at the first draw
     rng = random.Random(seed)
     corpus = CORPUS.get(protocol, ())
     histogram: Counter[str] = Counter()
@@ -216,7 +192,7 @@ def fuzz_attacks(
 
         if result.verdict.kind is VerdictKind.ASSERTION_FAILURE:
             if i >= len(corpus):
-                program = format_attack(_program(ran, protocol))
+                program = format_attack(program_of(ran, interface))
             out.counterexamples.append({
                 "iteration": i,
                 "seed": run_seed,

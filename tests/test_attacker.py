@@ -61,7 +61,6 @@ def test_parse_shapes_and_comments():
     ]
     assert (p.statements[3].var, p.statements[4].var) == ("b", None)
     assert p.statements[1].value == b"hi # not a comment"
-    assert p.commands == p.statements[1:2] + p.statements[3:]
 
 
 def test_hash_inside_a_string_literal_is_kept():

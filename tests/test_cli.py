@@ -12,6 +12,7 @@ from dymon import (
     RPC_HONEST,
     RPC_SPLICE,
     Level,
+    VerdictKind,
     level,
     parse_term,
     render_term,
@@ -50,6 +51,17 @@ def test_readme_examples_print_what_the_readme_shows(capsys, monkeypatch, comman
         return [re.sub(r" in [0-9.]+s$", " in <elapsed>", line) for line in lines]
 
     assert masked(out.splitlines()) == masked(_readme_output(command))
+
+
+def test_readme_library_block_runs(monkeypatch):
+    # the README's one python block runs as written, from the repo root
+    monkeypatch.chdir(ROOT)
+    text = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```$", text, re.S | re.M)
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert names["r"].verdict.kind is VerdictKind.ASSERTION_FAILURE
+    assert names["f"].counterexamples == []
 
 
 def test_run_honest_exits_zero(capsys):

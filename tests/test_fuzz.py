@@ -28,9 +28,8 @@ from dymon import (
     validate_attack,
     weak_secrecy_violations,
 )
-from dymon.attacker import _to_steps
-from dymon.dsl import AssignString, Call, Decl, ValueKind
-from dymon.scripts import CORPUS
+from dymon.dsl import AssignString, Call, Decl, ValueKind, program_of
+from dymon.scripts import CORPUS, HONEST_DRIVERS
 from oracles import HIGH, LOW, saturate
 
 fuzz = importlib.import_module("dymon.fuzz")
@@ -42,8 +41,7 @@ def test_generated_programs_are_well_typed():
         iface = interface_for(protocol)
         for _ in range(100):
             p = generate_program(rng, protocol, max_len=10)
-            validate_attack(p, iface)
-            assert len(p.commands) <= 10
+            assert len(validate_attack(p, iface)) <= 10
 
 
 # (protocol, max_len) -> (seed, SHA-256 of the formatted text of the first
@@ -134,14 +132,13 @@ def test_generated_runs_agree_with_run_attack(monkeypatch):
                 verdicts[report["verdict"]["kind"]] += 1
                 # a counterexample is rebuilt from ran
                 assert tuple(ran) == taken
-                program = parse_attack(format_attack(fuzz._program(taken, protocol)))
-                assert _to_steps(program.statements) == list(taken)
-                validate_attack(program, iface)
+                program = parse_attack(format_attack(program_of(taken, iface)))
+                assert validate_attack(program, iface) == list(taken)
                 assert run_attack(program, protocol, seed=seed).to_report() == report
                 rng = random.Random()
                 rng.setstate(state)
                 full = generate_program(rng, protocol, max_len)
-                steps = _to_steps(full.statements)
+                steps = validate_attack(full, iface)
                 assert steps[:len(taken)] == list(taken)
                 if len(taken) == len(steps):
                     assert rng.getstate() == after
@@ -156,7 +153,7 @@ def test_generated_runs_agree_with_run_attack(monkeypatch):
                     if report["verdict"]["kind"] != "assumption-failure":
                         # without its last step the run ends differently;
                         # an assumption failure would outrank either ending
-                        shorter = fuzz._program(taken[:-1], protocol)
+                        shorter = program_of(taken[:-1], iface)
                         assert run_attack(shorter, protocol, seed=seed).to_report() != report
             assert verdicts == r.histogram
 
@@ -218,8 +215,9 @@ def _slow_program(rng, protocol, max_len):
 
 def test_steps_rebuild_the_reference_program():
     # the steps, with each Decl re-derived from the kind of what is
-    # assigned, format, parse and validate, and give the program and rng
-    # state of the reference generator
+    # assigned, validate back to the same steps, directly and through
+    # format and parse, and give the program and rng state of the
+    # reference generator
     for i, protocol in enumerate(PROTOCOLS):
         iface = interface_for(protocol)
         fast, slow = random.Random(i), random.Random(i)
@@ -230,11 +228,11 @@ def test_steps_rebuild_the_reference_program():
             steps = []
             for _ in fuzz._steps(fast, protocol, max_len, steps):
                 pass
-            program = fuzz._program(steps, protocol)
+            program = program_of(steps, iface)
+            assert validate_attack(program, iface) == steps
             parsed = parse_attack(format_attack(program))
-            validate_attack(parsed, iface)
+            assert validate_attack(parsed, iface) == steps
             assert parsed == program == _slow_program(slow, protocol, max_len)
-            assert _to_steps(parsed.statements) == steps
             assert fast.getstate() == slow.getstate()
             assert generate_program(replay, protocol, max_len) == program
             assert replay.getstate() == fast.getstate()
@@ -244,11 +242,45 @@ def test_variable_names_have_no_cap():
     for protocol in PROTOCOLS:
         max_len = len(fuzz._NAMES) + 100  # beyond every name cached so far
         p = generate_program(random.Random(4), protocol, max_len)
-        validate_attack(p, interface_for(protocol))
-        assert len(p.commands) == max_len
+        assert len(validate_attack(p, interface_for(protocol))) == max_len
         declared = [st.var for st in p.statements if isinstance(st, Decl)]
         assert declared == [f"v{i}" for i in range(len(declared))]
         assert len(declared) > max_len // 2
+
+
+def _bundled_programs():
+    # every program text dymon ships: the corpus, the honest drivers and
+    # the loose files under attacks/
+    attacks = Path(__file__).resolve().parents[1] / "attacks"
+    for protocol in PROTOCOLS:
+        for text in (*CORPUS.get(protocol, ()), HONEST_DRIVERS[protocol]):
+            yield protocol, text
+    for path in sorted(attacks.glob("*.dsl")):
+        yield ("otway-rees" if path.name.startswith("or_") else "rpc-correct"), path.read_text()
+
+
+def test_program_of_inverts_validate_attack():
+    # statements -> steps -> statements gives back every bundled program
+    seen = 0
+    for protocol, text in _bundled_programs():
+        iface = interface_for(protocol)
+        program = parse_attack(text)
+        assert program_of(validate_attack(program, iface), iface) == program
+        seen += 1
+    assert seen >= 11
+
+
+def test_validate_attack_returns_a_fresh_list():
+    iface = interface_for("rpc-correct")
+    program = parse_attack(HONEST_DRIVERS["rpc-correct"])
+    steps = validate_attack(program, iface)
+    again = validate_attack(program, iface)
+    assert steps == again and steps is not again
+    steps.reverse()
+    steps.append((None, b"x", "x"))
+    assert validate_attack(program, iface) == again
+    assert program == parse_attack(HONEST_DRIVERS["rpc-correct"])
+    assert program_of(again, iface) == program
 
 
 _FRESH_REPORTS = """
@@ -427,6 +459,13 @@ def test_fuzz_rejects_unknown_protocol(count):
     with pytest.raises(ValueError) as got:
         fuzz_attacks("nope", count)
     assert str(got.value) == str(want.value) == "unknown protocol 'nope'"
+    # generate_program checks on entry too, before it draws anything
+    rng = random.Random(count)
+    state = rng.getstate()
+    with pytest.raises(ValueError) as got:
+        generate_program(rng, "nope", count)
+    assert str(got.value) == str(want.value)
+    assert rng.getstate() == state
 
 
 def test_fuzz_accepts_zero_sizes():
