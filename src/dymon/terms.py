@@ -5,8 +5,21 @@ ever hands out is backed by one of these terms through the representation
 table (see state.py); the log records which literals were created fresh,
 with what usage, and which protocol events the honest roles claim happened.
 
-A node (a term, a usage or an event) is hashed once, when it is built, and
-keeps that hash; equality is still the field-by-field dataclass comparison.
+A node (a term, a usage or an event) is a tuple: its class, then its fields.
+Hashing and comparing nodes is tuple hashing and comparison: it runs in C,
+with no Python recursion, and costs time proportional to the term's size,
+since no hash is stored.  The protocols and generated programs make terms a
+few levels deep.  A straight-line chain of attacker MACs is the one way to
+grow a deep term whose bytes stay small, and each wrapper call hashes the
+chain again, so running such a program takes time quadratic in its depth:
+0.1 s at 500 deep, 0.8 s at 1,500 and 6 s at 4,000 (CPython 3.11, one core
+of a shared 2-core x86 host).  Two more limits come from CPython's tuples.
+Tuple hashing has no recursion guard, so hashing a term about 200,000 deep
+overflows the C stack (8 MB) and kills the process; a program of about
+400,000 lines builds one.  Tuple comparison counts against the recursion
+limit, so comparing two distinct equal trees deeper than it raises
+RecursionError.  Rendering and parsing keep their own stack and take terms
+of any depth.
 
 A Log value is immutable.  ``add`` returns a new Log sharing nothing
 observable with its input except the events themselves; each Log carries
@@ -21,8 +34,10 @@ fields is its bare name, and a Literal is ``Literal(0x<hex>)``.
 
 from __future__ import annotations
 
+import inspect
 import re
-from dataclasses import dataclass, fields
+from _collections import _tuplegetter
+from dataclasses import dataclass
 from typing import get_type_hints
 
 from .errors import TermSyntaxError
@@ -30,38 +45,48 @@ from .errors import TermSyntaxError
 # ---------------------------------------------------------------------------
 # nodes
 #
-# Terms, usages and events are keys of the representation table and the
-# level memo, so they are hashed far more often than they are built.  The
-# generated dataclass hash rebuilds a tuple at every level of the tree, one
-# Python frame per node; here each node hashes its class and its fields
-# once, in __init__ (a child node answers with its own stored hash), and
-# __hash__ returns the stored value.  Equal nodes have the same class and
-# equal fields, hence equal hashes.
+# Terms, usages and events are keys of the representation table, the level
+# memo and the log, so they are hashed and compared far more often than they
+# are built.  Each node class is therefore a tuple subclass, and a node is the
+# tuple (its class, *its fields): tuple hashing and equality run in C, and the
+# class in slot 0 keeps nodes of different classes with equal fields apart.
+# The fields are read through the C getter that collections.namedtuple uses.
 
 
 def _node(cls):
-    """``@dataclass(frozen=True)`` whose __init__ also stores the hash."""
-    cls = dataclass(frozen=True, init=False)(cls)
-    args = "".join(f", {f.name}" for f in fields(cls))
-    sets = "".join(f"    _set(self, {f.name!r}, {f.name})\n" for f in fields(cls))
-    namespace = {"_set": object.__setattr__, "_cls": cls}
-    exec(
-        f"def __init__(self{args}):\n{sets}"
-        f"    _set(self, '_hash', hash((_cls{args})))\n",
-        namespace,
+    """Rebuild ``cls`` as a tuple subclass whose instances are ``(cls, *fields)``.
+
+    The fields are the names annotated in the class body, in order; they are
+    also the class's ``__match_args__``.  Instances are immutable, compare and
+    hash as tuples, pickle through ``__getnewargs__`` and repr like a
+    dataclass.
+    """
+    names = tuple(inspect.get_annotations(cls))
+    params = "".join(f", {n}" for n in names)
+    items = "".join(f"{n}, " for n in names)
+    namespace = {"_new": tuple.__new__}
+    exec(f"def __new__(_cls{params}):\n    return _new(_cls, (_cls, {items}))\n", namespace)
+    body = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
+    body.update(
+        __slots__=(),
+        __match_args__=names,
+        __new__=namespace["__new__"],
+        __getnewargs__=_getnewargs,
+        __repr__=_repr,
     )
-    cls.__init__ = namespace["__init__"]
+    for i, name in enumerate(names, 1):
+        body[name] = _tuplegetter(i, f"field {name!r}")
+    return type(cls.__name__, cls.__bases__ + (tuple,), body)
 
-    def __hash__(self):
-        return self._hash
 
-    def __reduce__(self):
-        # rebuild through __init__: a stored hash is valid in one process only
-        return cls, tuple(getattr(self, f.name) for f in fields(cls))
+def _getnewargs(self):
+    return self[1:]
 
-    cls.__hash__ = __hash__
-    cls.__reduce__ = __reduce__
-    return cls
+
+def _repr(self):
+    cls = type(self)
+    fields = ", ".join(f"{n}={v!r}" for n, v in zip(cls.__match_args__, self[1:]))
+    return f"{cls.__qualname__}({fields})"
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +387,7 @@ _NODE_CLASSES = (
     New, Request, Response, Initiator, Responder, Bad,
 )
 _FIELDS = {
-    cls: tuple((f.name, get_type_hints(cls)[f.name]) for f in fields(cls))
+    cls: tuple((name, get_type_hints(cls)[name]) for name in cls.__match_args__)
     for cls in _NODE_CLASSES
 }
 _BY_NAME = {cls.__name__: cls for cls in _NODE_CLASSES}
@@ -371,15 +396,31 @@ _HEX = re.compile(r"0x((?:[0-9a-fA-F]{2})*)(?![0-9a-fA-F])")
 
 
 def _render(node, kind: type) -> str:
-    cls = type(node)
-    if cls not in _FIELDS or not issubclass(cls, kind):
-        raise TypeError(f"not a {kind.__name__}: {node!r}")
-    if cls is Literal:
-        return f"Literal(0x{node.data.hex()})"
-    if not _FIELDS[cls]:
-        return cls.__name__
-    args = ",".join(_render(getattr(node, name), k) for name, k in _FIELDS[cls])
-    return f"{cls.__name__}({args})"
+    # an explicit stack, not recursion, so a term of any depth renders
+    out = []
+    todo = [(node, kind)]  # (node, kind) to render, or a str to emit
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, kind = item
+        cls = type(node)
+        if cls not in _FIELDS or not issubclass(cls, kind):
+            raise TypeError(f"not a {kind.__name__}: {node!r}")
+        if cls is Literal:
+            out.append(f"Literal(0x{node.data.hex()})")
+            continue
+        out.append(cls.__name__)
+        fields = _FIELDS[cls]
+        if fields:
+            # push "(" field "," ... field ")" so that it pops in order
+            todo.append(")")
+            for i in range(len(fields), 0, -1):
+                todo.append((node[i], fields[i - 1][1]))
+                todo.append(",")
+            todo[-1] = "("
+    return "".join(out)
 
 
 def render_term(t: Term) -> str:
@@ -415,23 +456,38 @@ class _Parser:
         return m.group(1)
 
     def node(self, kind: type):
-        head = self.match(_NAME, "a name")
-        cls = _BY_NAME.get(head)
-        if cls is None or not issubclass(cls, kind):
-            self.fail(f"expected a {kind.__name__}, not {head!r}")
-        if cls is Literal:
-            self.eat("(")
-            data = bytes.fromhex(self.match(_HEX, "0x and an even number of hex digits"))
-            self.eat(")")
-            return Literal(data)
-        if not _FIELDS[cls]:
-            return cls()
-        args = []
-        for _, k in _FIELDS[cls]:
-            self.eat("," if args else "(")
-            args.append(self.node(k))
-        self.eat(")")
-        return cls(*args)
+        # an explicit stack, not recursion, so a term of any depth parses
+        open_nodes = []  # (class, fields read so far) of each unclosed node
+        while True:
+            head = self.match(_NAME, "a name")
+            cls = _BY_NAME.get(head)
+            if cls is None or not issubclass(cls, kind):
+                self.fail(f"expected a {kind.__name__}, not {head!r}")
+            if cls is Literal:
+                self.eat("(")
+                data = bytes.fromhex(self.match(_HEX, "0x and an even number of hex digits"))
+                self.eat(")")
+                value = Literal(data)
+            elif _FIELDS[cls]:
+                self.eat("(")
+                open_nodes.append((cls, []))
+                kind = _FIELDS[cls][0][1]
+                continue
+            else:
+                value = cls()
+            # value is complete: it is the next field of the innermost open node
+            while open_nodes:
+                cls, args = open_nodes[-1]
+                args.append(value)
+                if len(args) < len(_FIELDS[cls]):
+                    self.eat(",")
+                    kind = _FIELDS[cls][len(args)][1]
+                    break
+                self.eat(")")
+                open_nodes.pop()
+                value = cls(*args)
+            else:
+                return value
 
     def finish(self):
         if self.pos != len(self.text):

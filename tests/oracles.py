@@ -9,7 +9,11 @@ engine beyond the term constructors.  Agreement between the two is a
 strong check that the recursion implements the inductive system.
 
 Also exports random generators for logs and term universes used by the
-equivalence and theorem-suite tests.
+equivalence and theorem-suite tests, and a straight-line attack program that
+builds a MAC chain of any depth.
+
+Run as a script, ``python tests/oracles.py N`` prints that program for a chain
+N deep.
 """
 
 from __future__ import annotations
@@ -289,3 +293,25 @@ def random_extension(rng: random.Random, log: Log) -> Log:
     if len(names) >= 2 and rng.random() < 0.5:
         out = out.add(Request(names[0], names[1], extra))
     return out
+
+
+# ---------------------------------------------------------------------------
+# deep programs
+
+
+def hmac_chain_program(depth: int) -> str:
+    """An attack program whose last variable holds a MAC chain ``depth`` deep:
+    ``x0`` is a public literal and each ``x<i>`` MACs ``x<i-1>`` under it."""
+    lines = [
+        "let s : string", 's = "k"',
+        "let x0 : bytespub", "x0 = att_toBytespub(s)",
+    ]
+    for i in range(1, depth + 1):
+        lines += [f"let x{i} : bytespub", f"x{i} = att_hmacsha1(x0, x{i - 1})"]
+    return "\n".join(lines) + "\n"
+
+
+if __name__ == "__main__":
+    import sys
+
+    sys.stdout.write(hmac_chain_program(int(sys.argv[1])))

@@ -1,6 +1,7 @@
 """Attack language: grammar items, round trips, interpreter semantics."""
 
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,12 +29,14 @@ from dymon import (
     interface_for,
     level,
     parse_attack,
+    render_term,
     run_attack,
     validate_attack,
 )
 from dymon.attacker import _OR_INTERFACE, _RPC_INTERFACE, _as_bytespub
 from dymon.dsl import AssignString, AttackProgram, Call, Decl
 from dymon.scripts import CORPUS, HONEST_DRIVERS
+from oracles import hmac_chain_program
 
 ATTACKS = Path(__file__).resolve().parent.parent / "attacks"
 
@@ -314,6 +317,16 @@ att_hmacsha1Verify(bx, p, m)
     r = run_attack(script, "rpc-correct", seed=0)
     assert r.verdict.kind is VerdictKind.OK
     assert r.state.failures == []
+
+
+def test_mac_chain_deeper_than_the_recursion_limit_runs_ok():
+    depth = 1200
+    assert depth > sys.getrecursionlimit()
+    r = run_attack(hmac_chain_program(depth), "rpc-correct", seed=0)
+    assert r.verdict.kind is VerdictKind.OK
+    assert r.state.failures == []
+    last = list(r.state.table.by_bytes.values())[-1]
+    assert render_term(last).count("Hmac(") == depth
 
 
 def test_random_programs_never_crash_the_interpreter():

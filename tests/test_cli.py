@@ -20,6 +20,7 @@ from dymon import (
 )
 from dymon import cli
 from dymon.cli import _load_log, main
+from oracles import hmac_chain_program
 
 ROOT = Path(__file__).resolve().parent.parent
 SPLICE = str(ROOT / "attacks" / "rpcattack_1.dsl")
@@ -165,6 +166,26 @@ def test_dump_reads_back_to_the_same_levels(tmp_path, protocol, script):
     for t in state.table.by_term:
         for lv in (Level.LOW, Level.HIGH):
             assert level(lv, parse_term(render_term(t)), loaded) == level(lv, t, state.log)
+
+
+def test_dump_of_a_deep_term_parses_back(tmp_path, capsys):
+    # renderings are compared, not terms: comparing two distinct trees this
+    # deep can exceed the recursion limit
+    depth = 600
+    program = tmp_path / "deep.dsl"
+    program.write_text(hmac_chain_program(depth))
+    dump = tmp_path / "log.json"
+    code, _, _ = run_cli(capsys, "run", "rpc-correct", str(program), "--dump", str(dump))
+    assert code == 0
+    doc = json.loads(dump.read_text())
+    rendered = [entry["term"] for entry in doc["table"]]
+    assert max(text.count("Hmac(") for text in rendered) == depth
+    for text in rendered:
+        assert render_term(parse_term(text)) == text
+    code, out, _ = run_cli(
+        capsys, "query", str(dump), "--level", "low", "--term", "Literal(0x6b)"
+    )
+    assert code == 0 and "= true" in out
 
 
 def test_query_plain_event_lines_and_explain(tmp_path, capsys):

@@ -1,9 +1,9 @@
 """Term algebra and the append-only log."""
 
-import dataclasses
 import inspect
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -38,6 +38,24 @@ from dymon import (
 )
 
 A, B = Literal(b"A"), Literal(b"B")
+
+NODE_BASES = (
+    dymon.terms.Term,
+    dymon.terms.Usage,
+    dymon.terms.Event,
+    dymon.terms.HmacKeyUsage,
+    dymon.terms.SEncKeyUsage,
+)
+
+
+def _fields(x):
+    """The field values of node x, in declaration order."""
+    return [getattr(x, name) for name in type(x).__match_args__]
+
+
+def _children(x):
+    """The fields of node x that are nodes themselves."""
+    return [c for c in _fields(x) if isinstance(c, NODE_BASES)]
 
 
 def terms(depth=3):
@@ -192,10 +210,8 @@ def _render(x):
 
 def _node_classes(x):
     found = {type(x)}
-    for f in dataclasses.fields(x):
-        child = getattr(x, f.name)
-        if dataclasses.is_dataclass(child):
-            found |= _node_classes(child)
+    for child in _children(x):
+        found |= _node_classes(child)
     return found
 
 
@@ -209,17 +225,10 @@ def test_render_examples_are_stable():
 
 
 def test_render_examples_cover_every_node_class():
-    bases = (
-        dymon.terms.Term,
-        dymon.terms.Usage,
-        dymon.terms.Event,
-        dymon.terms.HmacKeyUsage,
-        dymon.terms.SEncKeyUsage,
-    )
     node_classes = {
         cls
         for _, cls in inspect.getmembers(dymon.terms, inspect.isclass)
-        if dataclasses.is_dataclass(cls) and issubclass(cls, bases)
+        if hasattr(cls, "__match_args__") and issubclass(cls, NODE_BASES)
     }
     assert len(node_classes) == 16
     covered = set().union(*(_node_classes(v) for v, _ in RENDER_EXAMPLES))
@@ -253,26 +262,24 @@ def test_parse_event_rejects_garbage(bad):
         parse_event(bad)
 
 
-# -- stored hashes -------------------------------------------------------------
+# -- hashing and equality -----------------------------------------------------
 #
-# Each node stores its hash when it is built.  Whatever way an equal node
-# comes about (built again from fresh objects, or parsed back from its
-# rendering), it must be equal, hash the same, and find the original's
-# dict entries.
+# A node is the tuple (its class, *its fields), hashed and compared by tuple
+# code.  Whatever way an equal node comes about (built again from fresh
+# objects, parsed back from its rendering, or unpickled), it must be equal,
+# hash the same, and find the original's dict entries.
 
 
 def _subnodes(x):
     yield x
-    for f in dataclasses.fields(x):
-        child = getattr(x, f.name)
-        if dataclasses.is_dataclass(child):
-            yield from _subnodes(child)
+    for child in _children(x):
+        yield from _subnodes(child)
 
 
 def _rebuilt(x):
     if isinstance(x, Literal):
         return Literal(bytes(bytearray(x.data)))  # a new bytes object, hash not cached
-    return type(x)(*(_rebuilt(getattr(x, f.name)) for f in dataclasses.fields(x)))
+    return type(x)(*(_rebuilt(child) for child in _fields(x)))
 
 
 def _parsed_back(x):
@@ -318,9 +325,87 @@ def test_rebuilt_events_hash_alike(e):
 
 
 def test_pickled_nodes_rebuild_their_hash():
-    # a stored hash holds in one process only, so it is never pickled
     for value, _ in RENDER_EXAMPLES:
-        data = pickle.dumps(value)
-        assert b"_hash" not in data
-        twin = pickle.loads(data)
-        assert twin == value and hash(twin) == hash(value)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            twin = pickle.loads(pickle.dumps(value, protocol))
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+
+
+# -- the tuple representation --------------------------------------------------
+
+
+def test_classes_with_the_same_fields_stay_apart():
+    groups = [
+        [Pair(A, B), Hmac(A, B), SEnc(A, B)],
+        [PresharedKey(A, B), SessionKey(A, B)],
+        [Initiator(A, B, A, B), Responder(A, B, A, B)],
+    ]
+    for group in groups:
+        assert len(set(group)) == len(group)
+        for x in group:
+            for y in group:
+                assert (x == y) is (x is y)
+    assert HmacKey(PresharedKey(A, B)) != HmacKey(SessionKey(A, B))
+
+
+def test_log_lookup_tells_initiator_from_responder():
+    n, k = Literal(b"n"), Literal(b"k")
+    log = Log.empty().add(Responder(A, n, k, B))
+    assert Responder(A, n, k, B) in log
+    assert Initiator(A, n, k, B) not in log
+
+
+def test_a_node_never_equals_the_tuple_of_its_fields():
+    for value, _ in RENDER_EXAMPLES:
+        fields = tuple(_fields(value))
+        assert value != fields
+        assert fields != value
+        assert {fields: 1}.get(value) is None
+
+
+def test_fields_cannot_be_assigned():
+    for value, text in RENDER_EXAMPLES:
+        for name in type(value).__match_args__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, A)
+        with pytest.raises(AttributeError):
+            value.extra = A
+        assert _render(value) == text
+
+
+def test_repr_names_the_fields():
+    assert repr(Pair(A, B)) == "Pair(fst=Literal(data=b'A'), snd=Literal(data=b'B'))"
+    assert repr(AttackerGuess()) == "AttackerGuess()"
+
+
+# -- deep terms ----------------------------------------------------------------
+#
+# Rendering and parsing keep their own stack, so a term deeper than the
+# recursion limit renders and parses back.  Two distinct trees that deep
+# cannot be compared (tuple comparison counts against the recursion limit),
+# so the checks compare renderings.
+
+
+def _hmac_chain(depth):
+    t = A
+    for _ in range(depth):
+        t = Hmac(B, t)
+    return t
+
+
+def test_terms_deeper_than_the_recursion_limit_render_and_parse_back():
+    depth = sys.getrecursionlimit() * 2
+    t = _hmac_chain(depth)
+    text = render_term(t)
+    assert text == "Hmac(Literal(0x42)," * depth + "Literal(0x41)" + ")" * depth
+    assert render_term(parse_term(text)) == text
+    event = Bad(t)
+    assert render_event(parse_event(render_event(event))) == render_event(event)
+    assert hash(parse_term(text)) == hash(t)
+
+
+def test_deep_parse_errors_carry_the_offset():
+    text = "Hmac(Literal(0x42)," * 3000 + "Literal(0x41)" + ")" * 2999
+    with pytest.raises(TermSyntaxError, match=f"offset {len(text)}"):
+        parse_term(text)
