@@ -11,7 +11,8 @@ Three subcommands:
 Exit codes: 0 ok, 10 assertion failure, 11 assumption failure, 12
 deadlock, 13 contract violation, 2 usage or input errors.  ``fuzz`` exits
 10 when it found at least one counterexample, ``query`` exits 1 when the
-judgement does not hold.
+judgement does not hold and 2 when ``--explain`` meets a term too deep to
+explain.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import AttackSyntaxError, TermSyntaxError
 from .fuzz import fuzz_attacks
 from .levels import Level, explain, level
 from .scripts import HONEST_DRIVERS
-from .terms import Convention, Log, parse_event, parse_term, render_term
+from .terms import Convention, Literal, Log, parse_event, parse_term, render_term
 
 
 def _non_negative(text: str) -> int:
@@ -104,7 +105,7 @@ def _cmd_run(args) -> int:
         text = HONEST_DRIVERS[args.protocol]
     else:
         try:
-            text = Path(args.script).read_text(encoding="utf-8")
+            text = Path(args.script).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             print(f"run: cannot read {args.script}: {exc}", file=sys.stderr)
             return 2
@@ -177,6 +178,23 @@ def _cmd_fuzz(args) -> int:
     return 10 if result.counterexamples else 0
 
 
+def _judge_subterms(term, log: Log) -> None:
+    """Judge every subterm of ``term`` at both levels, children first.
+
+    Each judgement then finds its subterms' answers memoized on the log, so
+    ``level`` nests one term level deep however deep ``term`` is.
+    """
+    nodes, pending = [], [term]
+    while pending:
+        t = pending.pop()
+        if not isinstance(t, Literal):
+            nodes.append(t)
+            pending += t[1:]  # the fields of a Pair, Hmac or SEnc are its subterms
+    for t in reversed(nodes):  # reversed preorder: every child before its parent
+        level(Level.LOW, t, log)
+        level(Level.HIGH, t, log)
+
+
 def _cmd_query(args) -> int:
     try:
         log = _load_log(args.logfile)
@@ -185,9 +203,15 @@ def _cmd_query(args) -> int:
         print(f"query: {exc}", file=sys.stderr)
         return 2
     lv = Level.LOW if args.level == "low" else Level.HIGH
+    _judge_subterms(term, log)
     holds = level(lv, term, log)
     if args.explain:
-        print("\n".join(explain(lv, term, log)))
+        try:
+            lines = explain(lv, term, log)
+        except RecursionError as exc:
+            print(f"query: term too deep to explain: {exc}", file=sys.stderr)
+            return 2
+        print("\n".join(lines))
     else:
         print(f"level({args.level}, {args.term}) = {str(holds).lower()}")
     return 0 if holds else 1

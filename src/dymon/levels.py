@@ -5,14 +5,22 @@ holds for t at level lv over the given log.  Low means attacker-knowable;
 everything Low is also High.  The recursion is structural on the term head:
 
   Literal:   some New event created it; attacker guesses are both levels,
-             keys are High, and Low exactly when the matching compromise
-             condition holds.
+             keys are High, and Low exactly when compromised.
   Pair:      both components at the same level.
   Hmac:      either the payload is sayable under the key's usage and the
              payload itself has the level, or key and payload are both Low.
   SEnc:      either the payload is a well-formed ticket under the key's
              usage (and has *some* level, decided at High since Low implies
              High), or key and payload are both Low.
+
+One rule says when a key is compromised: a principal it is shared between
+(either party of a MAC key, the owner of an encryption key) is Bad.  Under a
+MAC key between a and b, Pair(tag1, req) is sayable once Request(a, b, req)
+is logged and Pair(tag2, Pair(req, resp)) once Response(a, b, req, resp) is;
+the flawed convention also takes Pair(tag2, resp).  A ticket is Pair(a,
+Pair(b, Pair(key, nonce))) with a != b and key a session MAC key between
+them, under a's key with Initiator(a, nonce, key, b) logged or under b's key
+with Responder(b, nonce, key, a) logged.
 
 Results are memoized per Log value, in one dict per level keyed by term;
 logs are immutable so entries never need invalidation.
@@ -23,6 +31,8 @@ from __future__ import annotations
 import enum
 
 from .terms import (
+    TAG_REQUEST,
+    TAG_RESPONSE,
     AttackerGuess,
     Bad,
     HmacKey,
@@ -32,6 +42,7 @@ from .terms import (
     Log,
     Pair,
     PresharedKey,
+    PrincipalKey,
     Request,
     Responder,
     Response,
@@ -39,10 +50,6 @@ from .terms import (
     SEncKey,
     SessionKey,
     Term,
-    match_bare_response,
-    match_pair4,
-    match_request,
-    match_response,
     render_term,
 )
 
@@ -57,6 +64,8 @@ _LOW = Level.LOW
 _HIGH = Level.HIGH
 
 _MISS = object()
+_TAG1 = Literal(TAG_REQUEST)
+_TAG2 = Literal(TAG_RESPONSE)
 
 
 def level(lv: Level, t: Term, log: Log) -> bool:
@@ -73,26 +82,25 @@ def level(lv: Level, t: Term, log: Log) -> bool:
 def _decide(lv: Level, t: Term, log: Log) -> bool:
     if isinstance(t, Literal):
         for u in log.usages_of(t):
-            if isinstance(u, AttackerGuess):
-                return True
-            if lv is _HIGH:
-                return True
-            if isinstance(u, HmacKey) and _mac_usage_comp(u.usage, log):
-                return True
-            if isinstance(u, SEncKey) and _enc_usage_comp(u.usage, log):
+            if lv is _HIGH or isinstance(u, AttackerGuess) or _comp(u.usage, log):
                 return True
         return False
     if isinstance(t, Pair):
         return level(lv, t.fst, log) and level(lv, t.snd, log)
-    if isinstance(t, Hmac):
-        if can_hmac(t.key, t.msg, log) and level(lv, t.msg, log):
+    if isinstance(t, (Hmac, SEnc)):
+        payload, sayable, need = _route(lv, t, log)
+        if sayable and level(need, payload, log):
             return True
-        return level(_LOW, t.key, log) and level(_LOW, t.msg, log)
-    if isinstance(t, SEnc):
-        if can_senc(t.key, t.body, log) and level(_HIGH, t.body, log):
-            return True
-        return level(_LOW, t.key, log) and level(_LOW, t.body, log)
+        return level(_LOW, t.key, log) and level(_LOW, payload, log)
     raise TypeError(f"not a term: {t!r}")
+
+
+def _route(lv: Level, t: Hmac | SEnc, log: Log) -> tuple[Term, bool, Level]:
+    """A MAC's or ciphertext's first route: its payload, whether the payload
+    is sayable under the key's usage, and the level the payload then needs."""
+    if isinstance(t, Hmac):
+        return t.msg, can_hmac(t.key, t.msg, log), lv
+    return t.body, can_senc(t.key, t.body, log), _HIGH
 
 
 # ---------------------------------------------------------------------------
@@ -101,20 +109,20 @@ def _decide(lv: Level, t: Term, log: Log) -> bool:
 
 def can_hmac(k: Term, m: Term, log: Log) -> bool:
     """Is m a payload the key's owners may MAC, given the logged events?"""
+    if not isinstance(m, Pair):
+        return False
+    tag, rest = m.fst, m.snd
     for u in log.usages_of(k):
         if not isinstance(u, HmacKey):
             continue
         a, b = u.usage.a, u.usage.b
-        req = match_request(m)
-        if req is not None and Request(a, b, req) in log:
+        if tag == _TAG1 and Request(a, b, rest) in log:
             return True
-        rr = match_response(m)
-        if rr is not None and Response(a, b, rr[0], rr[1]) in log:
-            return True
-        if not log.convention.response_binds_request:
-            resp = match_bare_response(m)
-            if resp is not None and any(
-                r.a == a and r.b == b and r.resp == resp for r in log.responses
+        if tag == _TAG2:
+            if isinstance(rest, Pair) and Response(a, b, rest.fst, rest.snd) in log:
+                return True
+            if not log.convention.response_binds_request and any(
+                r.a == a and r.b == b and r.resp == rest for r in log.responses
             ):
                 return True
     return False
@@ -122,57 +130,41 @@ def can_hmac(k: Term, m: Term, log: Log) -> bool:
 
 def can_senc(k: Term, p: Term, log: Log) -> bool:
     """Is p a well-formed key-server ticket for the key's owning principal?"""
-    quad = match_pair4(p)
-    if quad is None:
+    if not (isinstance(p, Pair) and isinstance(p.snd, Pair) and isinstance(p.snd.snd, Pair)):
         return False
-    w, x, y, z = quad
-    if w == x:
+    a, b, key, nonce = p.fst, p.snd.fst, p.snd.snd.fst, p.snd.snd.snd
+    if a == b or HmacKey(SessionKey(a, b)) not in log.usages_of(key):
         return False
     for u in log.usages_of(k):
         if not isinstance(u, SEncKey):
             continue
         q = u.usage.principal
-        if w == q and _session_key_between(log, y, w, x) and Initiator(w, z, y, x) in log:
+        if a == q and Initiator(a, nonce, key, b) in log:
             return True
-        if x == q and _session_key_between(log, y, w, x) and Responder(x, z, y, w) in log:
+        if b == q and Responder(b, nonce, key, a) in log:
             return True
     return False
 
 
-def _session_key_between(log: Log, k: Term, a: Term, b: Term) -> bool:
-    return any(
-        isinstance(u, HmacKey)
-        and isinstance(u.usage, SessionKey)
-        and u.usage.a == a
-        and u.usage.b == b
-        for u in log.usages_of(k)
-    )
-
-
 # ---------------------------------------------------------------------------
-# compromise conditions
+# compromise
 
 
-def _mac_usage_comp(u, log: Log) -> bool:
-    return Bad(u.a) in log or Bad(u.b) in log
-
-
-def _enc_usage_comp(u, log: Log) -> bool:
-    return Bad(u.principal) in log
+def _comp(usage, log: Log) -> bool:
+    """Is a principal this key usage is shared between Bad?"""
+    # every field of a key usage node is a principal
+    for principal in usage[1:]:
+        if Bad(principal) in log:
+            return True
+    return False
 
 
 def hmac_comp(k: Term, log: Log) -> bool:
-    return any(
-        isinstance(u, HmacKey) and _mac_usage_comp(u.usage, log)
-        for u in log.usages_of(k)
-    )
+    return any(isinstance(u, HmacKey) and _comp(u.usage, log) for u in log.usages_of(k))
 
 
 def senc_comp(k: Term, log: Log) -> bool:
-    return any(
-        isinstance(u, SEncKey) and _enc_usage_comp(u.usage, log)
-        for u in log.usages_of(k)
-    )
+    return any(isinstance(u, SEncKey) and _comp(u.usage, log) for u in log.usages_of(k))
 
 
 # ---------------------------------------------------------------------------
@@ -183,18 +175,20 @@ def weak_secrecy_violations(log: Log) -> list[tuple[Term, object]]:
     """Key literals that are Low although their owner is not compromised.
 
     Returns (literal, usage) pairs; empty on every good log if the runtime
-    is sound.  MAC keys use the two-party condition, principal encryption
-    keys the one-party condition.
+    is sound.
     """
-    out = []
-    for t, u in log.news:
-        if isinstance(u, HmacKey):
-            if level(Level.LOW, t, log) and not _mac_usage_comp(u.usage, log):
-                out.append((t, u))
-        elif isinstance(u, SEncKey):
-            if level(Level.LOW, t, log) and not _enc_usage_comp(u.usage, log):
-                out.append((t, u))
-    return out
+    return [
+        (t, u)
+        for t, u in log.news
+        if not isinstance(u, AttackerGuess) and level(_LOW, t, log) and not _comp(u.usage, log)
+    ]
+
+
+_KEY_KINDS = {
+    PresharedKey: "preshared mac key",
+    SessionKey: "session mac key",
+    PrincipalKey: "principal enc key",
+}
 
 
 def explain(lv: Level, t: Term, log: Log, _depth: int = 0) -> list[str]:
@@ -209,36 +203,20 @@ def explain(lv: Level, t: Term, log: Log, _depth: int = 0) -> list[str]:
         for u in usages:
             if isinstance(u, AttackerGuess):
                 lines.append(f"{pad}  created as attacker guess")
-            elif isinstance(u, HmacKey):
-                comp = _mac_usage_comp(u.usage, log)
-                kind = "preshared" if isinstance(u.usage, PresharedKey) else "session"
-                lines.append(
-                    f"{pad}  {kind} mac key; owner compromised: {str(comp).lower()}"
-                )
-            elif isinstance(u, SEncKey):
-                comp = _enc_usage_comp(u.usage, log)
-                lines.append(
-                    f"{pad}  principal enc key; owner compromised: {str(comp).lower()}"
-                )
+            else:
+                comp = str(_comp(u.usage, log)).lower()
+                lines.append(f"{pad}  {_KEY_KINDS[type(u.usage)]}; owner compromised: {comp}")
     elif isinstance(t, Pair):
         lines += explain(lv, t.fst, log, _depth + 1)
         lines += explain(lv, t.snd, log, _depth + 1)
-    elif isinstance(t, Hmac):
-        sayable = can_hmac(t.key, t.msg, log)
-        lines.append(f"{pad}  payload sayable under key usage: {str(sayable).lower()}")
+    elif isinstance(t, (Hmac, SEnc)):
+        payload, sayable, need = _route(lv, t, log)
+        what = "payload sayable" if isinstance(t, Hmac) else "ticket well-formed"
+        lines.append(f"{pad}  {what} under key usage: {str(sayable).lower()}")
         if sayable:
-            lines += explain(lv, t.msg, log, _depth + 1)
-        if not (sayable and level(lv, t.msg, log)):
+            lines += explain(need, payload, log, _depth + 1)
+        if not (sayable and level(need, payload, log)):
             lines.append(f"{pad}  public-key-and-payload route:")
-            lines += explain(Level.LOW, t.key, log, _depth + 1)
-            lines += explain(Level.LOW, t.msg, log, _depth + 1)
-    elif isinstance(t, SEnc):
-        sayable = can_senc(t.key, t.body, log)
-        lines.append(f"{pad}  ticket well-formed under key usage: {str(sayable).lower()}")
-        if sayable:
-            lines += explain(Level.HIGH, t.body, log, _depth + 1)
-        if not (sayable and level(Level.HIGH, t.body, log)):
-            lines.append(f"{pad}  public-key-and-payload route:")
-            lines += explain(Level.LOW, t.key, log, _depth + 1)
-            lines += explain(Level.LOW, t.body, log, _depth + 1)
+            lines += explain(_LOW, t.key, log, _depth + 1)
+            lines += explain(_LOW, payload, log, _depth + 1)
     return lines

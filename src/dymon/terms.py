@@ -230,44 +230,10 @@ class Bad(Event):
 
 
 # ---------------------------------------------------------------------------
-# message format tags and payload shapes
+# message format tags
 
 TAG_REQUEST = b"1"
 TAG_RESPONSE = b"2"
-
-_TAG_REQ_LIT = Literal(TAG_REQUEST)
-_TAG_RESP_LIT = Literal(TAG_RESPONSE)
-
-
-def match_request(m: Term) -> Term | None:
-    """If m has the request MAC shape Pair(tag1, req), return req."""
-    if isinstance(m, Pair) and m.fst == _TAG_REQ_LIT:
-        return m.snd
-    return None
-
-
-def match_response(m: Term) -> tuple[Term, Term] | None:
-    """If m has the response MAC shape Pair(tag2, Pair(req, resp))."""
-    if isinstance(m, Pair) and m.fst == _TAG_RESP_LIT and isinstance(m.snd, Pair):
-        return m.snd.fst, m.snd.snd
-    return None
-
-
-def match_bare_response(m: Term) -> Term | None:
-    """Flawed-variant response shape Pair(tag2, resp): no request binding."""
-    if isinstance(m, Pair) and m.fst == _TAG_RESP_LIT:
-        return m.snd
-    return None
-
-
-def match_pair4(m: Term) -> tuple[Term, Term, Term, Term] | None:
-    if (
-        isinstance(m, Pair)
-        and isinstance(m.snd, Pair)
-        and isinstance(m.snd.snd, Pair)
-    ):
-        return m.fst, m.snd.fst, m.snd.snd.fst, m.snd.snd.snd
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,36 @@ def test_dump_of_a_deep_term_parses_back(tmp_path, capsys):
         capsys, "query", str(dump), "--level", "low", "--term", "Literal(0x6b)"
     )
     assert code == 0 and "= true" in out
+    deepest = max(rendered, key=len)
+    code, out, _ = run_cli(capsys, "query", str(dump), "--level", "low", "--term", deepest)
+    assert code == 0 and out.endswith(") = true\n")
+    code, out, _ = run_cli(
+        capsys, "query", str(dump), "--level", "low", "--term", deepest, "--explain"
+    )
+    assert code == 0 and out.count("\n") > 2 * depth
+
+
+def _chain_query(tmp_path, depth, *flags):
+    logfile = tmp_path / "events.txt"
+    logfile.write_text("New(Literal(0x6b),AttackerGuess)\n")
+    term = "Hmac(Literal(0x6b)," * depth + "Literal(0x6b)" + ")" * depth
+    return main(["query", str(logfile), "--level", "low", "--term", term, *flags])
+
+
+def test_query_judges_a_term_twice_the_recursion_limit_deep(tmp_path, capsys):
+    assert _chain_query(tmp_path, 2 * sys.getrecursionlimit()) == 0
+    assert capsys.readouterr().out.endswith(") = true\n")
+
+
+def test_query_explain_of_a_term_too_deep_exits_two(tmp_path, capsys, monkeypatch):
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "explain", too_deep)
+    code = _chain_query(tmp_path, 3, "--explain")
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("query: ")
 
 
 def test_query_plain_event_lines_and_explain(tmp_path, capsys):
@@ -290,6 +321,13 @@ def test_run_string_literal_beyond_one_byte_exits_two(tmp_path, capsys):
     code, out, err = run_cli(capsys, "run", "rpc-correct", str(script))
     _assert_input_error(code, out, err, "run")
     assert "line 2" in err
+
+
+def test_run_script_with_a_byte_order_mark_runs(tmp_path, capsys):
+    script = tmp_path / "bom.dsl"
+    script.write_bytes(b"\xef\xbb\xbf" + Path(HONEST).read_bytes())
+    code, out, _ = run_cli(capsys, "run", "rpc-correct", str(script))
+    assert code == 0 and "verdict: ok" in out
 
 
 def test_run_script_that_is_not_utf8_exits_two(tmp_path, capsys):

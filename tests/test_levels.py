@@ -1,6 +1,7 @@
 """Level judgement: hand-picked rule cases and the saturation cross-check."""
 
 import random
+from pathlib import Path
 
 from oracles import random_instance, saturate
 
@@ -260,6 +261,46 @@ def test_explain_mentions_the_route():
     assert "payload sayable under key usage: true" in text
     lines2 = explain(LOW, K, log)
     assert "owner compromised: false" in "\n".join(lines2)
+
+
+def _explain_cases():
+    """(term, log) pairs reaching every branch of ``explain``."""
+    log, sk, na, ek = or_log()
+    pk = Literal(b"pk")
+    log = (
+        log.add(New(pk, AttackerGuess()))
+        .add(Request(A, B, REQ))
+        .add(Request(A, B, K))
+        .add(Initiator(A, na, sk, B))
+    )
+    bad = log.add(Bad(A))
+    flawed = base_log(Convention(response_binds_request=False)).add(
+        Response(A, B, REQ, RESP)
+    )
+    return [
+        (Literal(b"ghost"), log),
+        (A, log),
+        (K, log), (K, bad),
+        (sk, log), (sk, bad),
+        (ek, log), (ek, bad),
+        (Pair(A, K), log),
+        (Hmac(K, Pair(TAG1, REQ)), log),
+        # sayable, but the payload is High only: both routes are shown
+        (Hmac(K, Pair(TAG1, K)), log),
+        (Hmac(pk, REQ), log),
+        (SEnc(ek, ticket(A, B, sk, na)), log),
+        (SEnc(pk, REQ), log),
+        (Hmac(K, Pair(TAG2, RESP)), flawed),
+    ]
+
+
+def test_explain_matches_the_golden_text():
+    lines = []
+    for t, log in _explain_cases():
+        for lv in (LOW, HIGH):
+            lines += explain(lv, t, log)
+    golden = (Path(__file__).parent / "explain_golden.txt").read_text()
+    assert "\n".join(lines) + "\n" == golden
 
 
 def test_levels_do_not_share_a_memo_in_either_query_order():
