@@ -26,9 +26,8 @@ parses it, and validate_attack checks it and returns the steps to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .backend import RandomSource
 from .errors import ContractViolationError, MalformedPairError, TableAuditError
@@ -169,8 +168,7 @@ def interface_for(protocol: str) -> Mapping[str, Signature]:
 # interpreter
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     verdict: Verdict
     state: CryptoState
     protocol: str

@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_log(path: str) -> Log:
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8-sig")
     stripped = text.lstrip()
     if stripped.startswith("{"):
         doc = json.loads(text)

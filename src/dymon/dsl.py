@@ -41,8 +41,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import AttackSyntaxError
 
@@ -60,43 +59,59 @@ class ValueKind(enum.Enum):
 
 _KINDS = {k.value: k for k in ValueKind}
 
-# line numbers ride along for error reporting but do not affect equality,
-# so reformatting (which drops comments and blank lines) round-trips
+# A statement is a tuple whose last field is its line number.  The line
+# rides along for error reporting but does not affect equality or hashing,
+# so reformatting (which drops comments and blank lines) round-trips; and a
+# statement equals only a statement of its own class, never a bare tuple.
+# __ne__ is stated too, since tuple's own would still compare the line.
 
 
-@dataclass(frozen=True)
-class Decl:
+def _same(self, other) -> bool:
+    return type(other) is type(self) and self[:-1] == other[:-1]
+
+
+def _differ(self, other) -> bool:
+    return not _same(self, other)
+
+
+def _hash(self) -> int:
+    return hash(self[:-1])
+
+
+class Decl(NamedTuple):
     var: str
     kind: ValueKind
-    line: int = field(default=0, compare=False)
+    line: int = 0
+
+    __eq__, __ne__, __hash__ = _same, _differ, _hash
 
 
-@dataclass(frozen=True)
-class AssignString:
+class AssignString(NamedTuple):
     var: str
     value: bytes
-    line: int = field(default=0, compare=False)
+    line: int = 0
+
+    __eq__, __ne__, __hash__ = _same, _differ, _hash
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     fn: str
     args: tuple[str, ...]
     var: Optional[str] = None
-    line: int = field(default=0, compare=False)
+    line: int = 0
+
+    __eq__, __ne__, __hash__ = _same, _differ, _hash
 
 
 Statement = Decl | AssignString | Call
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     params: tuple[ValueKind, ...]
     result: Optional[ValueKind]
 
 
-@dataclass(frozen=True)
-class AttackProgram:
+class AttackProgram(NamedTuple):
     statements: tuple[Statement, ...]
 
 
@@ -178,53 +193,57 @@ def validate_attack(program: AttackProgram, interface: Mapping[str, Signature]) 
     declared: dict[str, ValueKind] = {}
     assigned: set[str] = set()
     steps: list[Step] = []
+    # a statement is a tuple, so each is unpacked once rather than read
+    # field by field
     for st in program.statements:
-        line = st.line
         if isinstance(st, Decl):
-            if st.var in declared:
-                raise AttackSyntaxError(line, 3, f"{st.var!r} declared twice")
-            declared[st.var] = st.kind
+            var, kind, line = st
+            if var in declared:
+                raise AttackSyntaxError(line, 3, f"{var!r} declared twice")
+            declared[var] = kind
             continue
         if isinstance(st, AssignString):
-            steps.append((None, st.value, st.var))
+            var, value, line = st
+            steps.append((None, value, var))
             source, result = "string literal", ValueKind.STRING
         else:
-            fn = st.fn
+            fn, args, var, line = st
             sig = interface.get(fn)
             if sig is None:
                 raise AttackSyntaxError(line, 5, f"unknown function {fn!r}")
-            for arg in st.args:
+            params, result = sig
+            for arg in args:
                 if arg not in declared:
                     raise AttackSyntaxError(line, 3, f"{arg!r} not declared")
                 if arg not in assigned:
                     raise AttackSyntaxError(line, 4, f"{arg!r} used before assignment")
-            if len(st.args) != len(sig.params):
+            if len(args) != len(params):
                 raise AttackSyntaxError(
-                    line, 5, f"{fn} takes {len(sig.params)} arguments, got {len(st.args)}"
+                    line, 5, f"{fn} takes {len(params)} arguments, got {len(args)}"
                 )
-            for arg, want in zip(st.args, sig.params):
+            for arg, want in zip(args, params):
                 got = declared[arg]
                 if got is not want:
                     raise AttackSyntaxError(
                         line, 5, f"{fn} argument {arg!r} has type {got.value}, needs {want.value}"
                     )
-            steps.append((fn, st.args, st.var))
-            if st.var is None:
+            steps.append((fn, args, var))
+            if var is None:
                 continue
-            source, result = fn, sig.result
+            source = fn
         # the assignment target, for string literals and call results alike
-        kind = declared.get(st.var)
+        kind = declared.get(var)
         if kind is None:
-            raise AttackSyntaxError(line, 3, f"{st.var!r} not declared")
-        if st.var in assigned:
-            raise AttackSyntaxError(line, 3, f"{st.var!r} assigned twice")
+            raise AttackSyntaxError(line, 3, f"{var!r} not declared")
+        if var in assigned:
+            raise AttackSyntaxError(line, 3, f"{var!r} assigned twice")
         if result is None:
             raise AttackSyntaxError(line, 6, f"{source} returns nothing")
         if kind is not result:
             raise AttackSyntaxError(
                 line, 6, f"{source} gives {result.value}, target is {kind.value}"
             )
-        assigned.add(st.var)
+        assigned.add(var)
     return steps
 
 

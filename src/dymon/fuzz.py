@@ -21,9 +21,8 @@ import random
 import time
 from bisect import bisect
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .attacker import _run, interface_for, run_attack
 from .dsl import AttackProgram, Step, ValueKind, format_attack, program_of
@@ -137,17 +136,34 @@ def generate_program(rng: random.Random, protocol: str, max_len: int) -> AttackP
     return program_of(steps, interface)
 
 
-@dataclass
 class FuzzResult:
-    protocol: str
-    count: int
-    max_len: int
-    seed: int
-    histogram: dict[str, int]
-    counterexamples: list[dict] = field(default_factory=list)
-    secrecy_violations: list[dict] = field(default_factory=list)
-    corpus_runs: int = 0
-    elapsed: float = 0.0
+    """The outcome of fuzz_attacks; a run fills it in as it goes."""
+
+    def __init__(
+        self,
+        protocol: str,
+        count: int,
+        max_len: int,
+        seed: int,
+        histogram: dict[str, int],
+        counterexamples: Optional[list[dict]] = None,
+        secrecy_violations: Optional[list[dict]] = None,
+        corpus_runs: int = 0,
+        elapsed: float = 0.0,
+    ):
+        self.protocol = protocol
+        self.count = count
+        self.max_len = max_len
+        self.seed = seed
+        self.histogram = histogram
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.secrecy_violations = [] if secrecy_violations is None else secrecy_violations
+        self.corpus_runs = corpus_runs
+        self.elapsed = elapsed
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"FuzzResult({fields})"
 
     def to_report(self) -> dict:
         return {

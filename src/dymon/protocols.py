@@ -24,7 +24,7 @@ refuses first messages that name the same principal twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .backend import DEFAULT_KEY_LEN
 from .errors import AuthFailureError, MalformedPairError
@@ -73,8 +73,7 @@ def responder_assertion(log: Log, b: Term, nb: Term, kab: Term, a: Term) -> bool
 # sessions
 
 
-@dataclass
-class RpcSession:
+class RpcSession(NamedTuple):
     client_pub: bytes
     server_pub: bytes
     t_client: Term
@@ -84,8 +83,7 @@ class RpcSession:
     server_channel: Channel
 
 
-@dataclass
-class OrSession:
+class OrSession(NamedTuple):
     a_pub: bytes
     b_pub: bytes
     t_a: Term

@@ -28,8 +28,7 @@ from __future__ import annotations
 import enum
 import random
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator, NoReturn, Optional
+from typing import Iterator, NamedTuple, NoReturn, Optional
 
 from .backend import RandomSource
 from .errors import ContractViolationError
@@ -53,8 +52,7 @@ EXIT_CODES = {
 }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: VerdictKind
     location: Optional[str] = None
     detail: Optional[str] = None

@@ -22,9 +22,8 @@ term they would register is High, other modules ask ``public_term``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import backend
 from .errors import ContractViolationError, TableAuditError
@@ -62,8 +61,7 @@ class AssumptionKind(enum.Enum):
     LUCKY_GUESS = "lucky-guess"
 
 
-@dataclass(frozen=True)
-class AssumptionFailure:
+class AssumptionFailure(NamedTuple):
     kind: AssumptionKind
     data: bytes
     existing: Optional[Term]

@@ -34,11 +34,9 @@ fields is its bare name, and a Literal is ``Literal(0x<hex>)``.
 
 from __future__ import annotations
 
-import inspect
 import re
 from _collections import _tuplegetter
-from dataclasses import dataclass
-from typing import get_type_hints
+from typing import NamedTuple
 
 from .errors import TermSyntaxError
 
@@ -58,10 +56,10 @@ def _node(cls):
 
     The fields are the names annotated in the class body, in order; they are
     also the class's ``__match_args__``.  Instances are immutable, compare and
-    hash as tuples, pickle through ``__getnewargs__`` and repr like a
-    dataclass.
+    hash as tuples, pickle through ``__getnewargs__`` and repr as
+    ``Name(field=value, ...)``.
     """
-    names = tuple(inspect.get_annotations(cls))
+    names = tuple(vars(cls).get("__annotations__", {}))
     params = "".join(f", {n}" for n in names)
     items = "".join(f"{n}, " for n in names)
     namespace = {"_new": tuple.__new__}
@@ -246,8 +244,7 @@ TAG_RESPONSE = b"2"
 # one convention.
 
 
-@dataclass(frozen=True)
-class Convention:
+class Convention(NamedTuple):
     response_binds_request: bool = True
 
 
@@ -345,7 +342,8 @@ class Log:
 # Stable, whitespace-free, and parseable back.  Each node class is listed
 # once; the kind of each field (Term, Usage, HmacKeyUsage, SEncKeyUsage)
 # comes from its annotation, so the renderer and the parser below need no
-# per-constructor code except for the hex payload of a Literal.
+# per-constructor code except for the hex payload of a Literal.  The
+# annotations are strings (PEP 563), resolved here in this module's namespace.
 
 _NODE_CLASSES = (
     Literal, Pair, Hmac, SEnc,
@@ -353,7 +351,7 @@ _NODE_CLASSES = (
     New, Request, Response, Initiator, Responder, Bad,
 )
 _FIELDS = {
-    cls: tuple((name, get_type_hints(cls)[name]) for name in cls.__match_args__)
+    cls: tuple((name, eval(cls.__annotations__[name], globals())) for name in cls.__match_args__)
     for cls in _NODE_CLASSES
 }
 _BY_NAME = {cls.__name__: cls for cls in _NODE_CLASSES}

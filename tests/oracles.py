@@ -42,6 +42,7 @@ from dymon import (
     SessionKey,
     TAG_REQUEST,
     TAG_RESPONSE,
+    render_term,
 )
 
 LOW, HIGH = Level.LOW, Level.HIGH
@@ -273,8 +274,10 @@ def random_instance(rng: random.Random):
         }
     universe.add(SEnc(ghost, ticket_ok))
 
-    # a few random binary trees over the pool for structural coverage
-    pool = list(universe)
+    # a few random binary trees over the pool for structural coverage; the
+    # pool is sorted, since a set of nodes iterates in an order that differs
+    # between processes (a node's hash includes its class's address)
+    pool = sorted(universe, key=render_term)
     for _ in range(4):
         t1, t2 = rng.choice(pool), rng.choice(pool)
         ctor = rng.choice([Pair, Hmac, SEnc])

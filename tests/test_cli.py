@@ -337,6 +337,30 @@ def test_run_script_that_is_not_utf8_exits_two(tmp_path, capsys):
     _assert_input_error(code, out, err, "run")
 
 
+def test_query_log_with_a_byte_order_mark_loads(tmp_path, capsys):
+    plain = tmp_path / "bom.txt"
+    plain.write_bytes(b"\xef\xbb\xbfNew(Literal(0x6b),AttackerGuess)\n")
+    dump = tmp_path / "bom.json"
+    dump.write_bytes(b"\xef\xbb\xbf" + json.dumps(
+        {"events": ["New(Literal(0x6b),AttackerGuess)"], "response_binds_request": False}
+    ).encode())
+    for logfile in (plain, dump):
+        code, out, _ = run_cli(
+            capsys, "query", str(logfile), "--level", "low", "--term", "Literal(0x6b)"
+        )
+        assert code == 0 and out == "level(low, Literal(0x6b)) = true\n"
+    assert _load_log(str(dump)).convention.response_binds_request is False
+
+
+def test_query_log_that_is_not_utf8_exits_two(tmp_path, capsys):
+    logfile = tmp_path / "latin1.txt"
+    logfile.write_bytes(b"New(Literal(0x6b),AttackerGuess)\n\xe9\n")
+    code, out, err = run_cli(
+        capsys, "query", str(logfile), "--level", "low", "--term", "Literal(0x6b)"
+    )
+    _assert_input_error(code, out, err, "query")
+
+
 def test_run_dump_into_missing_directory_exits_two(tmp_path, capsys):
     dump = tmp_path / "missing" / "d.json"
     code, out, err = run_cli(capsys, "run", "rpc-correct", "--honest", "--dump", str(dump))

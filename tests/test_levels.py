@@ -1,9 +1,15 @@
 """Level judgement: hand-picked rule cases and the saturation cross-check."""
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
+import oracles
 from oracles import random_instance, saturate
+
+import dymon
 
 from dymon import (
     AttackerGuess,
@@ -331,6 +337,36 @@ def test_memo_is_per_log_version():
 
 
 # -- cross-check against the saturation oracle ---------------------------------
+
+
+_INSTANCE_DIGEST = """
+import hashlib, random
+from dymon import render_event, render_term
+from oracles import random_instance
+rng = random.Random(11)
+h = hashlib.sha256()
+for _ in range(300):
+    log, universe = random_instance(rng)
+    events = [render_event(e) for e in log]
+    h.update(repr((log.convention, events, sorted(map(render_term, universe)))).encode())
+print(h.hexdigest())
+"""
+
+
+def test_oracle_samples_do_not_depend_on_the_process():
+    # the seeded cross-checks must test the same instances in every process
+    tests = str(Path(oracles.__file__).resolve().parent)
+    src = str(Path(dymon.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, tests, os.environ.get("PYTHONPATH"))))
+    digests = {
+        subprocess.run(
+            [sys.executable, "-c", _INSTANCE_DIGEST],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        for seed in ("0", "1")
+    }
+    assert len(digests) == 1, digests
 
 
 def test_engine_matches_saturation_oracle_sample():

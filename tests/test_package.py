@@ -1,6 +1,9 @@
 """Package-wide properties: the public names and the source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import dymon
@@ -40,3 +43,25 @@ def test_no_bare_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+_NEWLY_LOADED = """
+import sys
+before = set(sys.modules)
+import dymon, dymon.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # a cold start (dymon run, dymon query, a counterexample replay) pays for
+    # every module the import loads; the records need neither of these
+    src = str(Path(dymon.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", _NEWLY_LOADED],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split()
+    assert "dymon.cli" in out
+    assert not {"dataclasses", "inspect"} & set(out), out
