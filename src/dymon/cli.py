@@ -9,10 +9,9 @@ Three subcommands:
     query  decide the level judgement for a term over a saved event log
 
 Exit codes: 0 ok, 10 assertion failure, 11 assumption failure, 12
-deadlock, 13 contract violation, 2 usage or input errors.  ``fuzz`` exits
-10 when it found at least one counterexample, ``query`` exits 1 when the
-judgement does not hold and 2 when ``--explain`` meets a term too deep to
-explain.
+deadlock, 13 contract violation, 2 usage or input errors, and also 2 when
+a term is too deep to judge or explain.  ``fuzz`` exits 10 when it found at
+least one counterexample, ``query`` exits 1 when the judgement does not hold.
 """
 
 from __future__ import annotations
@@ -179,9 +178,9 @@ def _cmd_fuzz(args) -> int:
 
 
 def _judge_subterms(term, log: Log) -> None:
-    """Judge every subterm of ``term`` at both levels, children first.
+    """Judge every subterm of ``term``, children first.
 
-    Each judgement then finds its subterms' answers memoized on the log, so
+    Each judgement then finds its subterms' values memoized on the log, so
     ``level`` nests one term level deep however deep ``term`` is.
     """
     nodes, pending = [], [term]
@@ -191,8 +190,7 @@ def _judge_subterms(term, log: Log) -> None:
             nodes.append(t)
             pending += t[1:]  # the fields of a Pair, Hmac or SEnc are its subterms
     for t in reversed(nodes):  # reversed preorder: every child before its parent
-        level(Level.LOW, t, log)
-        level(Level.HIGH, t, log)
+        level(Level.HIGH, t, log)  # decides the term's value at both levels
 
 
 def _cmd_query(args) -> int:
@@ -206,12 +204,7 @@ def _cmd_query(args) -> int:
     _judge_subterms(term, log)
     holds = level(lv, term, log)
     if args.explain:
-        try:
-            lines = explain(lv, term, log)
-        except RecursionError as exc:
-            print(f"query: term too deep to explain: {exc}", file=sys.stderr)
-            return 2
-        print("\n".join(lines))
+        print("\n".join(explain(lv, term, log)))
     else:
         print(f"level({args.level}, {args.term}) = {str(holds).lower()}")
     return 0 if holds else 1
@@ -219,11 +212,12 @@ def _cmd_query(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "fuzz":
-        return _cmd_fuzz(args)
-    return _cmd_query(args)
+    command = {"run": _cmd_run, "fuzz": _cmd_fuzz, "query": _cmd_query}[args.command]
+    try:
+        return command(args)
+    except RecursionError as exc:
+        print(f"{args.command}: term too deep to judge: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

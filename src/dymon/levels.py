@@ -22,8 +22,9 @@ Pair(b, Pair(key, nonce))) with a != b and key a session MAC key between
 them, under a's key with Initiator(a, nonce, key, b) logged or under b's key
 with Responder(b, nonce, key, a) logged.
 
-Results are memoized per Log value, in one dict per level keyed by term;
-logs are immutable so entries never need invalidation.
+Each term is decided once per Log value and memoized in one dict keyed by
+term: 2 Low (hence High), 1 High only, 0 neither.  Logs are immutable, so
+entries never need invalidation.
 """
 
 from __future__ import annotations
@@ -63,35 +64,36 @@ class Level(enum.Enum):
 _LOW = Level.LOW
 _HIGH = Level.HIGH
 
-_MISS = object()
 _TAG1 = Literal(TAG_REQUEST)
 _TAG2 = Literal(TAG_RESPONSE)
 
 
 def level(lv: Level, t: Term, log: Log) -> bool:
-    # one memo per level, keyed by term alone, so no Enum is ever hashed
-    memo = log._memo_high if lv is _HIGH else log._memo_low
-    cached = memo.get(t, _MISS)
-    if cached is not _MISS:
-        return cached
-    result = _decide(lv, t, log)
-    memo[t] = result
-    return result
+    memo = log._memo
+    v = memo.get(t)
+    if v is None:
+        v = memo[t] = _decide(t, log)
+    return v > 0 if lv is _HIGH else v > 1
 
 
-def _decide(lv: Level, t: Term, log: Log) -> bool:
+def _decide(t: Term, log: Log) -> int:
+    # children go through level itself: a helper frame per term level costs depth
     if isinstance(t, Literal):
-        for u in log.usages_of(t):
-            if lv is _HIGH or isinstance(u, AttackerGuess) or _comp(u.usage, log):
-                return True
-        return False
+        usages = log.usages_of(t)
+        for u in usages:
+            if isinstance(u, AttackerGuess) or _comp(u.usage, log):
+                return 2
+        return 1 if usages else 0
     if isinstance(t, Pair):
-        return level(lv, t.fst, log) and level(lv, t.snd, log)
+        if level(_HIGH, t.fst, log) and level(_HIGH, t.snd, log):
+            return min(log._memo[t.fst], log._memo[t.snd])
+        return 0
     if isinstance(t, (Hmac, SEnc)):
-        payload, sayable, need = _route(lv, t, log)
-        if sayable and level(need, payload, log):
-            return True
-        return level(_LOW, t.key, log) and level(_LOW, payload, log)
+        payload, sayable, need = _route(_LOW, t, log)
+        if sayable and level(_HIGH, payload, log):
+            # High holds; Low holds when the payload has the level Low needs
+            return log._memo[payload] if need is _LOW else 2
+        return 2 if level(_LOW, t.key, log) and level(_LOW, payload, log) else 0
     raise TypeError(f"not a term: {t!r}")
 
 

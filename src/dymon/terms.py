@@ -23,9 +23,9 @@ of any depth.
 
 A Log value is immutable.  ``add`` returns a new Log sharing nothing
 observable with its input except the events themselves; each Log carries
-its own level memo (see levels.level), which is sound because the Log never
-changes.  Equality between logs compares event *sets*; insertion order is
-preserved only for rendering and reports.
+its own level memo, one value per term (see levels), which is sound because
+the Log never changes.  Equality between logs compares event *sets*;
+insertion order is preserved only for rendering and reports.
 
 Every node renders in one canonical syntax and parses back from it: a node
 is its class name followed by its fields in parentheses, a node without
@@ -264,8 +264,7 @@ class Log:
         "_events",
         "_usages",
         "_responses",
-        "_memo_low",
-        "_memo_high",
+        "_memo",
     )
 
     def __init__(self, events, usages, responses, good, convention):
@@ -274,9 +273,8 @@ class Log:
         self._events = events  # event -> None, in insertion order
         self._usages = usages
         self._responses = responses
-        # level results per term, one dict per level (see levels.level)
-        self._memo_low: dict = {}
-        self._memo_high: dict = {}
+        # term -> its level value, 2 Low, 1 High only, 0 neither (see levels)
+        self._memo: dict = {}
 
     @classmethod
     def empty(cls, convention: Convention = STANDARD) -> "Log":

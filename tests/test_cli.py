@@ -219,6 +219,21 @@ def test_query_explain_of_a_term_too_deep_exits_two(tmp_path, capsys, monkeypatc
     assert captured.err.startswith("query: ")
 
 
+def test_run_of_a_term_too_deep_to_judge_exits_two(tmp_path, capsys):
+    # the new word's New event starts a log with an empty memo, so the last
+    # MAC judges the whole chain again, one recursion per term level
+    depth = sys.getrecursionlimit()
+    program = tmp_path / "deep.dsl"
+    program.write_text(
+        hmac_chain_program(depth)
+        + 'let w : string\nw = "w"\nlet y : bytespub\ny = att_toBytespub(w)\n'
+        + f"let z : bytespub\nz = att_hmacsha1(x0, x{depth})\n"
+    )
+    code, out, err = run_cli(capsys, "run", "rpc-correct", str(program))
+    assert code == 2 and out == ""
+    assert err.startswith("run: term too deep to judge") and err.count("\n") == 1
+
+
 def test_query_plain_event_lines_and_explain(tmp_path, capsys):
     logfile = tmp_path / "events.txt"
     logfile.write_text(

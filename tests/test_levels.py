@@ -41,6 +41,7 @@ from dymon import (
     senc_comp,
     weak_secrecy_violations,
 )
+from dymon import levels
 
 LOW, HIGH = Level.LOW, Level.HIGH
 A, B, C = Literal(b"A"), Literal(b"B"), Literal(b"C")
@@ -325,6 +326,45 @@ def test_levels_do_not_share_a_memo_in_either_query_order():
         # asked again, the memoized answers are the same
         for t, (low, high) in expected.items():
             assert (level(LOW, t, log), level(HIGH, t, log)) == (low, high)
+
+
+def _subterms(t):
+    yield t
+    if not isinstance(t, Literal):
+        for child in t[1:]:
+            yield from _subterms(child)
+
+
+def test_each_term_is_decided_once_per_log(monkeypatch):
+    decided = {}
+    decide = levels._decide
+
+    def counting(*args):
+        t, log = args[-2:]
+        decided[t, id(log)] = decided.get((t, id(log)), 0) + 1
+        return decide(*args)
+
+    monkeypatch.setattr(levels, "_decide", counting)
+    for order in ((LOW, HIGH), (HIGH, LOW)):
+        cases = _explain_cases()  # fresh logs, kept alive so no id is reused
+        for t, log in cases:
+            for sub in _subterms(t):
+                for lv in order:
+                    level(lv, sub, log)
+        assert decided and max(decided.values()) == 1, order
+        decided.clear()
+
+
+def test_chains_two_fifths_of_the_recursion_limit_deep_are_judged():
+    # level and its decision step recurse two frames per term level
+    a = Literal(b"a")
+    log = Log.empty().add(New(a, AttackerGuess()))
+    depth = 2 * sys.getrecursionlimit() // 5
+    for head in (Pair, Hmac, SEnc):
+        t = a
+        for _ in range(depth):
+            t = head(a, t)
+        assert level(LOW, t, log) and level(HIGH, t, log), head
 
 
 def test_memo_is_per_log_version():
