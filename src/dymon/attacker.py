@@ -217,6 +217,7 @@ def _run(steps: Iterable[Step], protocol: str, seed: int, rand, mac_fn) -> RunRe
     cs = initial_state(convention=convention, mac_fn=mac_fn)
     rt = Runtime(cs, seed=seed, rand=rand)
     env: dict[str, object] = {}
+    fetch = env.__getitem__
 
     # the call rule (see the module docstring)
     try:
@@ -224,7 +225,7 @@ def _run(steps: Iterable[Step], protocol: str, seed: int, rand, mac_fn) -> RunRe
             if fn is None:
                 env[var] = args
                 continue
-            vals = [env[a] for a in args]
+            vals = tuple(map(fetch, args))
             value = FAILED
             if FAILED not in vals:
                 sig, impl = table[fn]

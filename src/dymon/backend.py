@@ -33,8 +33,15 @@ def _keystream(key: bytes, n: int) -> bytes:
     return bytes(out[:n])
 
 
+def _xor_keystream(key: bytes, data: bytes) -> bytes:
+    # one big-integer XOR instead of one Python step per byte
+    n = len(data)
+    stream = int.from_bytes(_keystream(key, n), "big")
+    return (int.from_bytes(data, "big") ^ stream).to_bytes(n, "big")
+
+
 def senc(key: bytes, plaintext: bytes) -> bytes:
-    body = bytes(p ^ k for p, k in zip(plaintext, _keystream(key, len(plaintext))))
+    body = _xor_keystream(key, plaintext)
     return body + hmac_sha1(key, body)
 
 
@@ -44,7 +51,7 @@ def sdec(key: bytes, ciphertext: bytes) -> bytes:
     body, tag = ciphertext[:-DIGEST_LEN], ciphertext[-DIGEST_LEN:]
     if not _hmac.compare_digest(hmac_sha1(key, body), tag):
         raise AuthFailureError("tag mismatch")
-    return bytes(c ^ k for c, k in zip(body, _keystream(key, len(body))))
+    return _xor_keystream(key, body)
 
 
 class RandomSource:

@@ -8,7 +8,17 @@ and buckets runs by verdict.  A generated command is drawn as a step (see
 dsl) only when the interpreter asks for it: it runs once, as it is drawn,
 without being validated again, and none is drawn after the run has
 ended.  Only generate_program and a kept counterexample turn steps back
-into a program, with dsl.program_of.  Runs whose verdict is a decisive
+into a program, with dsl.program_of.  Draws come straight from the rng's
+getrandbits and random(), restating random.py's own algorithms: the
+prelude words as random.sample(pop, 2) draws them, each function as
+random.choices draws it (picked by bisect over cached weights), and each
+argument as random.choice draws it, so a program is the one those methods
+would draw, without their Python frames.  tests/test_fuzz.py checks each
+draw against the method it restates
+(test_prelude_pick_agrees_with_random_sample,
+test_bisect_pick_agrees_with_random_choices,
+test_argument_draw_agrees_with_random_choice), and the pinned generation
+digests check whole programs.  Runs whose verdict is a decisive
 assertion failure are kept as counterexamples: the corpus text, or
 exactly the generated steps that ran.  Every run is also swept for
 weak-secrecy violations in its final log.
@@ -36,6 +46,7 @@ _WORDS = (
     b"Request", b"Response", b"Transfer", b"Hello",
     b"payload", b"x", b"0", b"\x00\x01", b"",
 )
+_PRINCIPALS = _WORDS[:4]
 
 # relative pick weights; functions not listed default to 2
 _WEIGHTS = {
@@ -66,6 +77,13 @@ _MENUS: dict[tuple[str, frozenset[ValueKind]], _Menu] = {}
 # variable names v0, v1, ...; grown on demand, one name at a time
 _NAMES: list[str] = []
 
+# bound once: iterating an Enum class and reading a member's .value are
+# Python-level calls
+_KINDS = tuple(ValueKind)
+_STRING = ValueKind.STRING
+_VERDICT_NAMES = {kind: kind.value for kind in VerdictKind}
+_ASSERTION_FAILURE = VerdictKind.ASSERTION_FAILURE
+
 
 def _new_name() -> str:
     name = f"v{len(_NAMES)}"
@@ -86,16 +104,34 @@ def _menu(protocol: str, ready: frozenset[ValueKind]) -> _Menu:
     return menu
 
 
+def _two(getrandbits, pop: tuple) -> tuple:
+    """rng.sample(pop, 2) for a pool of 2 to 21 items, drawn as random.sample
+    draws it: an index below n, then one below n - 1 over the pool with its
+    last item moved into the first pick's place."""
+    n = len(pop)
+    k = n.bit_length()
+    i = getrandbits(k)
+    while i >= n:
+        i = getrandbits(k)
+    n -= 1
+    k = n.bit_length()
+    j = getrandbits(k)
+    while j >= n:
+        j = getrandbits(k)
+    return pop[i], pop[n] if j == i else pop[j]
+
+
 def _steps(rng: random.Random, protocol: str, max_len: int, ran: list[Step]) -> Iterator[Step]:
     """Yield the steps of a random well-typed program of at most max_len
     commands, drawing each from rng only when it is asked for and
     appending it to ran as it is yielded; the caller has checked that the
     protocol exists."""
-    pools: dict[ValueKind, list[str]] = {k: [] for k in ValueKind}
+    pools: dict[ValueKind, list[str]] = {k: [] for k in _KINDS}
+    getrandbits = rng.getrandbits
     # seed the pools: a couple of principal names and payload words, so the
     # setup and conversion functions are callable from the start
-    words = rng.sample(_WORDS[:4], k=2) + rng.sample(_WORDS, k=2)
-    strings = pools[ValueKind.STRING]
+    words = _two(getrandbits, _PRINCIPALS) + _two(getrandbits, _WORDS)
+    strings = pools[_STRING]
     for n, word in enumerate(words[:max_len]):
         var = _NAMES[n] if n < len(_NAMES) else _new_name()
         strings.append(var)
@@ -103,16 +139,26 @@ def _steps(rng: random.Random, protocol: str, max_len: int, ran: list[Step]) -> 
         ran.append(step)
         yield step
     names = len(strings)
-    ready = frozenset({ValueKind.STRING})  # kinds with a non-empty pool
+    ready = frozenset({_STRING})  # kinds with a non-empty pool
     menu = None  # the menu for ready, fetched by the next draw
-    choice, rand, pool_of = rng.choice, rng.random, pools.__getitem__
+    rand = rng.random
     for _ in range(max_len - names):
         if menu is None:
             fns, cum, total, hi = menu = _menu(protocol, ready)
         # random.choices(fns, cum_weights=cum) draws the same random() and
         # picks the same entry (CPython 3.10-3.13; tests/test_fuzz.py checks)
         fn, params, kind = fns[bisect(cum, rand() * total, 0, hi)]
-        args = tuple(map(choice, map(pool_of, params)))
+        # each argument as random.choice(pool) draws it; the menu offers
+        # only functions whose parameter pools are non-empty
+        args = ()
+        for p in params:
+            pool = pools[p]
+            n = len(pool)
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            args += (pool[r],)
         var = None
         if kind is not None:
             var = _NAMES[names] if names < len(_NAMES) else _new_name()
@@ -204,9 +250,10 @@ def fuzz_attacks(
         else:
             ran: list[Step] = []  # the steps as they run, for a counterexample
             result = _run(_steps(rng, protocol, max_len, ran), protocol, run_seed, None, None)
-        histogram[result.verdict.kind.value] += 1
+        kind = result.verdict.kind
+        histogram[_VERDICT_NAMES[kind]] += 1
 
-        if result.verdict.kind is VerdictKind.ASSERTION_FAILURE:
+        if kind is _ASSERTION_FAILURE:
             if i >= len(corpus):
                 program = format_attack(program_of(ran, interface))
             out.counterexamples.append({

@@ -41,6 +41,7 @@ from .terms import (
     Initiator,
     Literal,
     Log,
+    New,
     Pair,
     PresharedKey,
     PrincipalKey,
@@ -155,8 +156,9 @@ def can_senc(k: Term, p: Term, log: Log) -> bool:
 def _comp(usage, log: Log) -> bool:
     """Is a principal this key usage is shared between Bad?"""
     # every field of a key usage node is a principal
+    events = log._events
     for principal in usage[1:]:
-        if Bad(principal) in log:
+        if Bad(principal) in events:
             return True
     return False
 
@@ -176,14 +178,16 @@ def senc_comp(k: Term, log: Log) -> bool:
 def weak_secrecy_violations(log: Log) -> list[tuple[Term, object]]:
     """Key literals that are Low although their owner is not compromised.
 
-    Returns (literal, usage) pairs; empty on every good log if the runtime
-    is sound.
+    Returns (literal, usage) pairs, one per New event in log order; empty on
+    every good log if the runtime is sound.
     """
-    return [
-        (t, u)
-        for t, u in log.news
-        if not isinstance(u, AttackerGuess) and level(_LOW, t, log) and not _comp(u.usage, log)
-    ]
+    found = []
+    for e in log._events:
+        if type(e) is New:
+            _, t, u = e  # a node is (class, *fields)
+            if type(u) is not AttackerGuess and level(_LOW, t, log) and not _comp(u.usage, log):
+                found.append((t, u))
+    return found
 
 
 _KEY_KINDS = {

@@ -199,8 +199,15 @@ class Runtime:
     # -- scheduling -----------------------------------------------------------
 
     def _runnable(self) -> list[RoleTask]:
-        live = self._live = [t for t in self._live if not t.done]
-        return [t for t in live if t.waiting_on is None or t.waiting_on.from_net]
+        live, ready = [], []
+        for t in self._live:
+            if not t.done:
+                live.append(t)
+                ch = t.waiting_on
+                if ch is None or ch.from_net:
+                    ready.append(t)
+        self._live = live
+        return ready
 
     def drain(self):
         """Step every runnable role once, in one seeded order.

@@ -55,6 +55,9 @@ from .wire import pair_decode, pair_encode
 _LOW = Level.LOW
 _HIGH = Level.HIGH
 
+# the usage of every literal the attacker introduces; nodes are immutable
+_GUESS = AttackerGuess()
+
 
 class AssumptionKind(enum.Enum):
     COLLISION = "collision"
@@ -74,9 +77,10 @@ class RepresentationTable:
 
     __slots__ = ("by_bytes", "by_term")
 
-    def __init__(self):
-        self.by_bytes: dict[bytes, Term] = {}
-        self.by_term: dict[Term, bytes] = {}
+    def __init__(self, by_bytes=(), by_term=()):
+        # copies of the given entries; empty by default
+        self.by_bytes: dict[bytes, Term] = dict(by_bytes)
+        self.by_term: dict[Term, bytes] = dict(by_term)
 
     def __len__(self) -> int:
         return len(self.by_bytes)
@@ -99,9 +103,14 @@ class CryptoState:
         self,
         convention: Convention = STANDARD,
         mac_fn: Optional[Callable[[bytes, bytes], bytes]] = None,
+        *,
+        log: Optional[Log] = None,
+        table: Optional[RepresentationTable] = None,
     ):
-        self.log = Log.empty(convention)
-        self.table = RepresentationTable()
+        # a given log carries its own convention; initial_state passes the
+        # template's log and a copy of its table
+        self.log = Log.empty(convention) if log is None else log
+        self.table = RepresentationTable() if table is None else table
         self.mac_fn = mac_fn or backend.hmac_sha1
         self.failures: list[AssumptionFailure] = []
         self.soundness_notes: list[str] = []
@@ -169,7 +178,7 @@ class CryptoState:
         t = self.table.by_bytes.get(raw)
         if t is None:
             lit = Literal(raw)
-            self._log_add(New(lit, AttackerGuess()))
+            self._log_add(New(lit, _GUESS))
             self._register(raw, lit)
             return True
         if level(_LOW, t, self.log):
@@ -320,7 +329,7 @@ class CryptoState:
 
     def _post_op(self):
         self.wrapper_calls += 1
-        table_len, log_len = len(self.table), len(self.log)
+        table_len, log_len = len(self.table.by_bytes), len(self.log._events)
         if table_len < self._last_table_len or log_len < self._last_log_len:
             raise TableAuditError("state shrank")
         self._check(table_len - self._last_table_len)
@@ -341,6 +350,8 @@ class CryptoState:
             raise TableAuditError("log lost goodness")
         if len(bb) != len(bt):
             raise TableAuditError("table sides disagree in size")
+        if not newest:
+            return
         for data, t in islice(reversed(bb.items()), newest):
             if bt.get(t) != data:
                 raise TableAuditError("table is not a bijection")
@@ -385,13 +396,14 @@ def initial_state(
         template = _TEMPLATES[convention] = CryptoState(convention)
         for tag in (TAG_REQUEST, TAG_RESPONSE):
             lit = Literal(tag)
-            template._log_add(New(lit, AttackerGuess()))
+            template._log_add(New(lit, _GUESS))
             template._register(tag, lit)
         template._post_op()
-    cs = CryptoState(convention, mac_fn)
-    cs.log = template.log
-    cs.table.by_bytes = dict(template.table.by_bytes)
-    cs.table.by_term = dict(template.table.by_term)
+    table = template.table
+    cs = CryptoState(
+        mac_fn=mac_fn, log=template.log,
+        table=RepresentationTable(table.by_bytes, table.by_term),
+    )
     cs.wrapper_calls = template.wrapper_calls
     cs._last_table_len, cs._last_log_len = template._last_table_len, template._last_log_len
     return cs

@@ -285,15 +285,16 @@ class Log:
             return self
         usages = self._usages
         good = self.good
-        if isinstance(e, New):
+        responses = self._responses
+        cls = type(e)
+        if cls is New:
             usages = dict(usages)
             prev = usages.get(e.term, ())
             usages[e.term] = prev + (e.usage,)
             # goodness: only literals get created, one usage per literal
             if not isinstance(e.term, Literal) or prev:
                 good = False
-        responses = self._responses
-        if isinstance(e, Response):
+        elif cls is Response:
             responses = responses + (e,)
         events = self._events.copy()
         events[e] = None

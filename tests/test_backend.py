@@ -1,5 +1,6 @@
 """Concrete crypto: published HMAC-SHA1 vectors, cipher round trips."""
 
+import hashlib
 import random
 
 import pytest
@@ -69,6 +70,27 @@ def test_sdec_rejects_truncated():
 def test_senc_deterministic_and_key_sensitive():
     assert senc(b"k1", b"hello") == senc(b"k1", b"hello")
     assert senc(b"k1", b"hello") != senc(b"k2", b"hello")
+
+
+# (key, body) -> SHA-256 of senc(key, body), computed by XORing the keystream
+# one byte at a time: XORing it as one integer must give the same bytes.  The
+# 53-byte body is the size of an Otway-Rees ticket
+SENC_PINS = [
+    (b"k" * 16, b"", "99d4cb93455aa46b479ae2f1f87c22be8e3d79cef6a961b377955d4dd9a3d51a"),
+    (b"\x00" * 16, b"\x7f", "17338c3c16804f8be7005b0f26a1f0994aa3ea8e0d679a95487da09d87509e5e"),
+    (bytes(range(16)), bytes(range(53)),
+     "f6162b90ce188ea0c5aff4e88b8d5fcf6d3c00e843e134c4d67eea3ec86ac91a"),
+    (b"key", bytes(range(200)),
+     "fca4dcaedee759c28adb0e3be114978c743246da1b0fd9c2cd89c989d520b521"),
+]
+
+
+@pytest.mark.parametrize("key,body,digest", SENC_PINS)
+def test_senc_matches_pinned_ciphertexts(key, body, digest):
+    blob = senc(key, body)
+    assert len(blob) == len(body) + DIGEST_LEN
+    assert hashlib.sha256(blob).hexdigest() == digest
+    assert sdec(key, blob) == body
 
 
 def test_random_source_replayable():

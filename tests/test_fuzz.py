@@ -187,6 +187,72 @@ def test_bisect_pick_agrees_with_random_choices():
                 assert slow.getstate() == fast.getstate()
 
 
+class _NoChoice(random.Random):
+    """An rng whose choice, choices and sample must not be called."""
+
+    def choice(self, seq):
+        raise AssertionError("random.choice called")
+
+    def choices(self, *args, **kwargs):
+        raise AssertionError("random.choices called")
+
+    def sample(self, *args, **kwargs):
+        raise AssertionError("random.sample called")
+
+
+def test_argument_draw_agrees_with_random_choice(monkeypatch):
+    # each argument is drawn inline from getrandbits; random.choice over
+    # the pool must pick the same variable and leave the rng in the same
+    # state.  A one-function menu that takes a bytespub and makes one
+    # grows that pool by one a step, so a program of 75 commands draws
+    # from pools of 1 to 70 variables
+    byts = ValueKind.BYTESPUB
+    make, grow = (("make", (), byts),), (("grow", (byts,), byts),)
+
+    def one_function(protocol, ready):
+        return (grow if byts in ready else make), (1,), 1.0, 0
+
+    monkeypatch.setattr(fuzz, "_menu", one_function)
+    drawn = Counter()
+    for state_seed in range(300):
+        fast, slow = random.Random(state_seed), random.Random()
+        steps = fuzz._steps(fast, "rpc-flawed", 75, [])
+        pool = []
+        while True:
+            slow.setstate(fast.getstate())  # steps are drawn only when asked for
+            step = next(steps, None)
+            if step is None:
+                break
+            fn, args, var = step
+            if fn == "grow":
+                slow.random()  # the function pick
+                assert args == (slow.choice(pool),)
+                assert slow.getstate() == fast.getstate()
+                drawn[len(pool)] += 1
+            if fn is not None:
+                pool.append(var)
+    assert drawn == {n: 300 for n in range(1, 71)}
+    # the real menus draw no function or argument through random.py
+    monkeypatch.undo()
+    for protocol in PROTOCOLS:
+        rng = _NoChoice(1)
+        for _ in range(50):
+            for _ in fuzz._steps(rng, protocol, 64, []):
+                pass
+
+
+def test_prelude_pick_agrees_with_random_sample():
+    # the prelude draws two principal names and two words with _two, which
+    # must pick what random.sample(pop, 2) picks, in the same state
+    for pop in (fuzz._WORDS[:4], fuzz._WORDS):
+        for state_seed in range(300):
+            fast = random.Random(state_seed)
+            slow = random.Random()
+            slow.setstate(fast.getstate())
+            assert list(fuzz._two(fast.getrandbits, pop)) == slow.sample(pop, 2)
+            assert slow.getstate() == fast.getstate()
+
+
 def _slow_program(rng, protocol, max_len):
     # the reference generator: one Decl and one statement object per
     # command, each function drawn by random.choices with weights=

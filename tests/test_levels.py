@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import oracles
@@ -258,6 +259,52 @@ def test_weak_secrecy_sweep_flags_leaked_key():
     assert not dirty.good
     hits = weak_secrecy_violations(dirty)
     assert [t for t, _ in hits] == [K]
+
+
+def _sweep_reference(log):
+    # the reference sweep: a comprehension over Log.news
+    return [
+        (t, u)
+        for t, u in log.news
+        if not isinstance(u, AttackerGuess) and level(LOW, t, log)
+        and not levels._comp(u.usage, log)
+    ]
+
+
+def test_weak_secrecy_sweep_agrees_with_the_reference():
+    # the same pairs in the same order, on good logs, on their extensions,
+    # on logs with Bad events and on logs that are not good
+    rng = random.Random(19)
+    logs = []
+    for _ in range(150):
+        log, _ = random_instance(rng)
+        news = list(log.news)
+        keys = [t for t, u in news if not isinstance(u, AttackerGuess)]
+        names = [t for t, u in news if isinstance(u, AttackerGuess)]
+        logs += [log, oracles.random_extension(rng, log), log.add(Bad(rng.choice(names)))]
+        # logs that are not good: two keys created again as attacker
+        # guesses, and an attacker guess created again as a key, are Low
+        twice = log
+        for k in rng.sample(keys, 2):
+            twice = twice.add(New(k, AttackerGuess()))
+        a, b, c = rng.sample(names, 3)
+        guessed = log.add(New(a, HmacKey(PresharedKey(b, c))))
+        logs += [twice, twice.add(Bad(rng.choice(names))), guessed, guessed.add(Bad(b))]
+    seen = Counter()
+    for log in logs:
+        # the reference first on one copy of the log, the sweep first on another
+        again = Log.empty(log.convention)
+        for e in log:
+            again = again.add(e)
+        want = _sweep_reference(log)
+        assert weak_secrecy_violations(log) == want
+        assert weak_secrecy_violations(again) == want == _sweep_reference(again)
+        seen[log.good, len(want), any(isinstance(e, Bad) for e in log)] += 1
+    # violations occur only on logs that are not good, with and without
+    # Bad events, and some logs have two
+    assert not any(n for good, n, _ in seen.elements() if good)
+    assert seen[False, 1, False] and seen[False, 1, True] and seen[False, 2, False]
+    assert seen[True, 0, True] and seen[False, 0, True]
 
 
 def test_explain_mentions_the_route():
