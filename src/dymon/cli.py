@@ -10,8 +10,8 @@ Three subcommands:
 
 Exit codes: 0 ok, 10 assertion failure, 11 assumption failure, 12
 deadlock, 13 contract violation, 2 usage or input errors, and also 2 when
-a term is too deep to judge or explain.  ``fuzz`` exits 10 when it found at
-least one counterexample, ``query`` exits 1 when the judgement does not hold.
+two distinct equal terms are too deep to compare (see terms).  ``fuzz``
+exits 10 on a counterexample, ``query`` 1 when the judgement does not hold.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import AttackSyntaxError, TermSyntaxError
 from .fuzz import fuzz_attacks
 from .levels import Level, explain, level
 from .scripts import HONEST_DRIVERS
-from .terms import Convention, Literal, Log, parse_event, parse_term, render_term
+from .terms import Convention, Log, parse_event, parse_term, render_term
 
 
 def _non_negative(text: str) -> int:
@@ -177,22 +177,6 @@ def _cmd_fuzz(args) -> int:
     return 10 if result.counterexamples else 0
 
 
-def _judge_subterms(term, log: Log) -> None:
-    """Judge every subterm of ``term``, children first.
-
-    Each judgement then finds its subterms' values memoized on the log, so
-    ``level`` nests one term level deep however deep ``term`` is.
-    """
-    nodes, pending = [], [term]
-    while pending:
-        t = pending.pop()
-        if not isinstance(t, Literal):
-            nodes.append(t)
-            pending += t[1:]  # the fields of a Pair, Hmac or SEnc are its subterms
-    for t in reversed(nodes):  # reversed preorder: every child before its parent
-        level(Level.HIGH, t, log)  # decides the term's value at both levels
-
-
 def _cmd_query(args) -> int:
     try:
         log = _load_log(args.logfile)
@@ -201,7 +185,6 @@ def _cmd_query(args) -> int:
         print(f"query: {exc}", file=sys.stderr)
         return 2
     lv = Level.LOW if args.level == "low" else Level.HIGH
-    _judge_subterms(term, log)
     holds = level(lv, term, log)
     if args.explain:
         print("\n".join(explain(lv, term, log)))
@@ -216,7 +199,7 @@ def main(argv=None) -> int:
     try:
         return command(args)
     except RecursionError as exc:
-        print(f"{args.command}: term too deep to judge: {exc}", file=sys.stderr)
+        print(f"{args.command}: terms too deep to compare: {exc}", file=sys.stderr)
         return 2
 
 

@@ -175,6 +175,8 @@ def _steps(rng: random.Random, protocol: str, max_len: int, ran: list[Step]) -> 
 
 def generate_program(rng: random.Random, protocol: str, max_len: int) -> AttackProgram:
     """Random well-typed straight-line program with at most max_len commands."""
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     interface = interface_for(protocol)  # an unknown protocol fails before any draw
     steps: list[Step] = []
     for _ in _steps(rng, protocol, max_len, steps):

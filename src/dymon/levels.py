@@ -22,9 +22,10 @@ Pair(b, Pair(key, nonce))) with a != b and key a session MAC key between
 them, under a's key with Initiator(a, nonce, key, b) logged or under b's key
 with Responder(b, nonce, key, a) logged.
 
-Each term is decided once per Log value and memoized in one dict keyed by
-term: 2 Low (hence High), 1 High only, 0 neither.  Logs are immutable, so
-entries never need invalidation.
+Each term is decided once per Log value, and again after its subterms are
+judged, children first, when the decision overflows the recursion limit.
+Values are memoized in one dict keyed by term: 2 Low (hence High), 1 High
+only, 0 neither.  Logs are immutable, so entries never need invalidation.
 """
 
 from __future__ import annotations
@@ -73,7 +74,16 @@ def level(lv: Level, t: Term, log: Log) -> bool:
     memo = log._memo
     v = memo.get(t)
     if v is None:
-        v = memo[t] = _decide(t, log)
+        try:
+            v = _decide(t, log)
+        except RecursionError:
+            nodes = [t]
+            for s in nodes:  # read as it grows: every child comes after its parent
+                nodes += [c for c in s[1:] if isinstance(c, (Pair, Hmac, SEnc))]
+            for s in reversed(nodes[1:]):  # children first, so each nests one level
+                level(_HIGH, s, log)
+            v = _decide(t, log)
+        memo[t] = v
     return v > 0 if lv is _HIGH else v > 1
 
 
@@ -197,32 +207,37 @@ _KEY_KINDS = {
 }
 
 
-def explain(lv: Level, t: Term, log: Log, _depth: int = 0) -> list[str]:
+def explain(lv: Level, t: Term, log: Log) -> list[str]:
     """Human-readable trace of the derivation attempt. Debug output only."""
-    pad = "  " * _depth
-    holds = level(lv, t, log)
-    lines = [f"{pad}level({lv.value}, {render_term(t)}) = {str(holds).lower()}"]
-    if isinstance(t, Literal):
-        usages = log.usages_of(t)
-        if not usages:
-            lines.append(f"{pad}  no New event for this literal")
-        for u in usages:
-            if isinstance(u, AttackerGuess):
-                lines.append(f"{pad}  created as attacker guess")
-            else:
-                comp = str(_comp(u.usage, log)).lower()
-                lines.append(f"{pad}  {_KEY_KINDS[type(u.usage)]}; owner compromised: {comp}")
-    elif isinstance(t, Pair):
-        lines += explain(lv, t.fst, log, _depth + 1)
-        lines += explain(lv, t.snd, log, _depth + 1)
-    elif isinstance(t, (Hmac, SEnc)):
-        payload, sayable, need = _route(lv, t, log)
-        what = "payload sayable" if isinstance(t, Hmac) else "ticket well-formed"
-        lines.append(f"{pad}  {what} under key usage: {str(sayable).lower()}")
-        if sayable:
-            lines += explain(need, payload, log, _depth + 1)
-        if not (sayable and level(need, payload, log)):
-            lines.append(f"{pad}  public-key-and-payload route:")
-            lines += explain(_LOW, t.key, log, _depth + 1)
-            lines += explain(_LOW, payload, log, _depth + 1)
+    lines = []
+    # (level, term, indent, lines before it) to explain; what follows a
+    # term's own lines is pushed last first, so that it pops in order
+    todo = [(lv, t, "", ())]
+    while todo:
+        lv, t, pad, before = todo.pop()
+        lines += before
+        holds = str(level(lv, t, log)).lower()
+        lines.append(f"{pad}level({lv.value}, {render_term(t)}) = {holds}")
+        pad += "  "
+        if isinstance(t, Literal):
+            usages = log.usages_of(t)
+            if not usages:
+                lines.append(f"{pad}no New event for this literal")
+            for u in usages:
+                if isinstance(u, AttackerGuess):
+                    lines.append(f"{pad}created as attacker guess")
+                else:
+                    comp = str(_comp(u.usage, log)).lower()
+                    lines.append(f"{pad}{_KEY_KINDS[type(u.usage)]}; owner compromised: {comp}")
+        elif isinstance(t, Pair):
+            todo += [(lv, t.snd, pad, ()), (lv, t.fst, pad, ())]
+        elif isinstance(t, (Hmac, SEnc)):
+            payload, sayable, need = _route(lv, t, log)
+            what = "payload sayable" if isinstance(t, Hmac) else "ticket well-formed"
+            lines.append(f"{pad}{what} under key usage: {str(sayable).lower()}")
+            if not (sayable and level(need, payload, log)):
+                route = (f"{pad}public-key-and-payload route:",)
+                todo += [(_LOW, payload, pad, ()), (_LOW, t.key, pad, route)]
+            if sayable:
+                todo.append((need, payload, pad, ()))
     return lines

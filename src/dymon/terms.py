@@ -17,9 +17,9 @@ of a shared 2-core x86 host).  Two more limits come from CPython's tuples.
 Tuple hashing has no recursion guard, so hashing a term about 200,000 deep
 overflows the C stack (8 MB) and kills the process; a program of about
 400,000 lines builds one.  Tuple comparison counts against the recursion
-limit, so comparing two distinct equal trees deeper than it raises
-RecursionError.  Rendering and parsing keep their own stack and take terms
-of any depth.
+limit (on CPython 3.12+ a fixed C limit, 10,000 on 3.13): comparing two
+distinct equal trees deeper raises RecursionError; ``dymon query`` exits 2.
+Rendering, parsing, the level engine and ``explain`` take any depth.
 
 A Log value is immutable.  ``add`` returns a new Log sharing nothing
 observable with its input except the events themselves; each Log carries

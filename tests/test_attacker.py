@@ -11,6 +11,7 @@ from dymon import (
     AttackSyntaxError,
     ContractViolationError,
     CryptoState,
+    Hmac,
     HmacKey,
     Level,
     Literal,
@@ -327,6 +328,20 @@ def test_mac_chain_deeper_than_the_recursion_limit_runs_ok():
     assert r.state.failures == []
     last = list(r.state.table.by_bytes.values())[-1]
     assert render_term(last).count("Hmac(") == depth
+
+
+def test_mac_over_a_deep_chain_after_a_new_word_runs_ok():
+    # the New event starts a log with an empty memo, so the last MAC judges
+    # the 600-deep chain from scratch, deeper than level can recurse
+    program = hmac_chain_program(600) + (
+        'let w : string\nw = "w"\nlet y : bytespub\ny = att_toBytespub(w)\n'
+        "let z : bytespub\nz = att_hmacsha1(x0, x600)\n"
+    )
+    r = run_attack(program, "rpc-correct", seed=0)
+    assert r.verdict.kind is VerdictKind.OK
+    z = list(r.state.table.by_bytes.values())[-1]
+    assert isinstance(z, Hmac) and render_term(z.msg).count("Hmac(") == 600
+    assert level(Level.HIGH, z, r.state.log)
 
 
 def test_random_programs_never_crash_the_interpreter():

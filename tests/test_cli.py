@@ -219,9 +219,9 @@ def test_query_explain_of_a_term_too_deep_exits_two(tmp_path, capsys, monkeypatc
     assert captured.err.startswith("query: ")
 
 
-def test_run_of_a_term_too_deep_to_judge_exits_two(tmp_path, capsys):
+def test_run_judging_a_term_deeper_than_the_recursion_limit_exits_zero(tmp_path, capsys):
     # the new word's New event starts a log with an empty memo, so the last
-    # MAC judges the whole chain again, one recursion per term level
+    # MAC judges the whole chain again, deeper than level can recurse
     depth = sys.getrecursionlimit()
     program = tmp_path / "deep.dsl"
     program.write_text(
@@ -230,8 +230,30 @@ def test_run_of_a_term_too_deep_to_judge_exits_two(tmp_path, capsys):
         + f"let z : bytespub\nz = att_hmacsha1(x0, x{depth})\n"
     )
     code, out, err = run_cli(capsys, "run", "rpc-correct", str(program))
+    assert code == 0 and err == ""
+    assert out.startswith("verdict: ok (exit 0)\n")
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 12),
+    reason="tuple comparison counts against CPython's fixed C recursion limit,"
+    " which a query over a term that deep takes seconds to reach",
+)
+def test_query_comparing_trees_too_deep_exits_two(tmp_path, capsys):
+    # the MAC's payload is sayable only if the Request event holds it: the
+    # lookup compares the query's copy with the logged one, tuple by tuple
+    depth = 3 * sys.getrecursionlimit() // 2
+    chain = "Pair(" * depth + "Literal(0x41)" + ",Literal(0x41))" * depth
+    names = ["Literal(0x41)", "Literal(0x42)", "Literal(0x31)"]
+    events = [f"New({n},AttackerGuess)" for n in names]
+    events.append("New(Literal(0x6b),HmacKey(PresharedKey(Literal(0x41),Literal(0x42))))")
+    events.append(f"Request(Literal(0x41),Literal(0x42),{chain})")
+    logfile = tmp_path / "events.txt"
+    logfile.write_text("\n".join(events) + "\n")
+    term = f"Hmac(Literal(0x6b),Pair(Literal(0x31),{chain}))"
+    code, out, err = run_cli(capsys, "query", str(logfile), "--level", "low", "--term", term)
     assert code == 2 and out == ""
-    assert err.startswith("run: term too deep to judge") and err.count("\n") == 1
+    assert err.startswith("query: terms too deep to compare") and err.count("\n") == 1
 
 
 def test_query_plain_event_lines_and_explain(tmp_path, capsys):

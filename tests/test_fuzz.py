@@ -517,6 +517,16 @@ def test_fuzz_rejects_negative_sizes(count, max_len):
         fuzz_attacks("rpc-flawed", count, max_len)
 
 
+def test_generation_rejects_a_negative_max_len():
+    # rejected before any draw, in fuzz_attacks's words; zero means no commands
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=r"^max_len must be >= 0, got -1$"):
+        generate_program(rng, "rpc-flawed", -1)
+    assert rng.getstate() == state
+    assert generate_program(rng, "rpc-flawed", 0).statements == ()
+
+
 @pytest.mark.parametrize("count", [0, 5])
 def test_fuzz_rejects_unknown_protocol(count):
     # rejected on entry, with run_attack's error, whether or not it draws

@@ -357,6 +357,104 @@ def test_explain_matches_the_golden_text():
     assert "\n".join(lines) + "\n" == golden
 
 
+def _explain_reference(lv, t, log, _depth=0):
+    # the reference explain: one recursion per term level
+    pad = "  " * _depth
+    holds = level(lv, t, log)
+    lines = [f"{pad}level({lv.value}, {dymon.render_term(t)}) = {str(holds).lower()}"]
+    if isinstance(t, Literal):
+        usages = log.usages_of(t)
+        if not usages:
+            lines.append(f"{pad}  no New event for this literal")
+        for u in usages:
+            if isinstance(u, AttackerGuess):
+                lines.append(f"{pad}  created as attacker guess")
+            else:
+                comp = str(levels._comp(u.usage, log)).lower()
+                lines.append(f"{pad}  {levels._KEY_KINDS[type(u.usage)]}; owner compromised: {comp}")
+    elif isinstance(t, Pair):
+        lines += _explain_reference(lv, t.fst, log, _depth + 1)
+        lines += _explain_reference(lv, t.snd, log, _depth + 1)
+    elif isinstance(t, (Hmac, SEnc)):
+        payload, sayable, need = levels._route(lv, t, log)
+        what = "payload sayable" if isinstance(t, Hmac) else "ticket well-formed"
+        lines.append(f"{pad}  {what} under key usage: {str(sayable).lower()}")
+        if sayable:
+            lines += _explain_reference(need, payload, log, _depth + 1)
+        if not (sayable and level(need, payload, log)):
+            lines.append(f"{pad}  public-key-and-payload route:")
+            lines += _explain_reference(LOW, t.key, log, _depth + 1)
+            lines += _explain_reference(LOW, payload, log, _depth + 1)
+    return lines
+
+
+def _with_headroom(frames, fn):
+    """fn() with the recursion limit about ``frames`` frames above the
+    caller (None: the limit as it is).  A RecursionError that escapes fails
+    the test plainly: its chain of handled overflows is too long to print."""
+    def down(n):
+        try:
+            return down(n + 1)
+        except RecursionError:
+            return n
+
+    old = sys.getrecursionlimit()
+    if frames is not None:
+        sys.setrecursionlimit(old - down(0) + frames)
+    try:
+        return fn()
+    except RecursionError as exc:
+        escaped = str(exc)
+    finally:
+        sys.setrecursionlimit(old)
+    raise AssertionError(f"RecursionError escaped: {escaped}")
+
+
+def _counting(monkeypatch, name, bound):
+    """The arguments of every call of levels.<name>, failing the test at
+    once when there are more than bound."""
+    calls = []
+    original = getattr(levels, name)
+
+    def counting(*args):
+        calls.append(args)
+        if len(calls) > bound:
+            raise AssertionError(f"more than {bound} calls of {name}") from None
+        return original(*args)
+
+    monkeypatch.setattr(levels, name, counting)
+    return calls
+
+
+def _chains(depth):
+    """(term, log) pairs: Pair, Hmac and SEnc chains ``depth`` deep over a
+    public literal, each judged at Low along the public route."""
+    a = Literal(b"a")
+    log = Log.empty().add(New(a, AttackerGuess()))
+    cases = []
+    for head in (Pair, Hmac, SEnc):
+        t = a
+        for _ in range(depth):
+            t = head(a, t)
+        cases.append((t, log))
+    return cases
+
+
+def test_explain_matches_the_reference(monkeypatch):
+    # on the golden cases, and on chains judged and explained with less
+    # headroom than their depth (a fresh log each time, so nothing is memoized)
+    for t, log in _explain_cases():
+        for lv in (LOW, HIGH):
+            assert explain(lv, t, log) == _explain_reference(lv, t, log), (lv, t)
+    depth = 150
+    want = [_explain_reference(lv, t, log) for lv in (LOW, HIGH) for t, log in _chains(depth)]
+    cases = [(lv, t, log) for lv in (LOW, HIGH) for t, log in _chains(depth)]
+    _counting(monkeypatch, "level", 5 * len(cases) * depth)  # a runaway walk fails fast
+    got = _with_headroom(depth // 2, lambda: [explain(*case) for case in cases])
+    assert got == want
+    assert all(len(lines) > 2 * depth for lines in got)
+
+
 def test_levels_do_not_share_a_memo_in_either_query_order():
     # term -> (Low, High); a preshared key and pairs over it are High only
     expected = {
@@ -414,6 +512,19 @@ def test_chains_two_fifths_of_the_recursion_limit_deep_are_judged():
         assert level(LOW, t, log) and level(HIGH, t, log), head
 
 
+def test_chains_twice_the_recursion_limit_deep_are_judged(monkeypatch):
+    # each term is decided once, but for the few near the limit whose
+    # decision overflowed and is made again once their subterms are judged
+    depth = 2 * sys.getrecursionlimit()
+    cases = _chains(depth)  # one log: the three chains share the literal
+    decided = _counting(monkeypatch, "_decide", 3 * depth + 30)
+    _counting(monkeypatch, "level", 5 * 3 * depth)  # a runaway walk fails fast
+    for t, log in cases:
+        assert _with_headroom(None, lambda: level(LOW, t, log) and level(HIGH, t, log))
+    assert len({t for t, _ in decided}) == 3 * depth + 1
+    assert len(decided) - (3 * depth + 1) <= 15
+
+
 def test_memo_is_per_log_version():
     log = base_log()
     assert not level(LOW, K, log)
@@ -464,6 +575,50 @@ def test_engine_matches_saturation_oracle_sample():
         for t in universe:
             for lv in (LOW, HIGH):
                 assert level(lv, t, log) == ((lv, t) in truth)
+
+
+def _fresh(log):
+    """The same events in a new Log, with an empty memo."""
+    again = Log.empty(log.convention)
+    for e in log:
+        again = again.add(e)
+    return again
+
+
+def test_engine_matches_the_oracle_while_the_fallback_runs(monkeypatch):
+    # with a few frames of headroom, judging a compound term overflows and
+    # level judges its subterms children first, then decides it again
+    overflowed = []
+    decide = levels._decide
+
+    def watching(t, log):
+        try:
+            return decide(t, log)
+        except RecursionError:
+            overflowed.append(t)
+            raise
+
+    rng = random.Random(29)
+    cases = []
+    for _ in range(40):
+        log, universe = random_instance(rng)
+        for order in ((LOW, HIGH), (HIGH, LOW)):
+            cases.append((order, universe, log, _fresh(log), _fresh(log)))
+    monkeypatch.setattr(levels, "_decide", watching)
+
+    def ask():
+        return [level(lv, t, log) for order, universe, _, log, _ in cases
+                for t in universe for lv in order]
+
+    shallow = _with_headroom(12, ask)
+    assert len(overflowed) > len(cases)
+    answers = iter(shallow)
+    for order, universe, log, _, normal in cases:
+        truth = saturate(universe, log)
+        for t in universe:
+            for lv in order:
+                got = next(answers)
+                assert got == ((lv, t) in truth) == level(lv, t, normal), (lv, t)
 
 
 def test_high_mac_and_ciphertext_mean_sayable_or_both_public():
