@@ -81,8 +81,9 @@ def _part(index: int):
     return impl
 
 
-def _start(name: str, role):
-    """att_run_*: start a role instance on a session."""
+def _start(role):
+    """att_run_*: start a role instance on a session, named after its function."""
+    name = role.__name__
 
     def impl(rt: Runtime, ses, *args):
         rt.spawn(name, role(rt, ses, *args))
@@ -110,8 +111,8 @@ _SHARED_INTERFACE = {
 _RPC_INTERFACE = {
     **_SHARED_INTERFACE,
     "att_setup": (Signature((_B, _B), _SES), protocols.setup_rpc),
-    "att_run_client": (Signature((_SES, _B), None), _start("rpc_client", protocols.rpc_client)),
-    "att_run_server": (Signature((_SES,), None), _start("rpc_server", protocols.rpc_server)),
+    "att_run_client": (Signature((_SES, _B), None), _start(protocols.rpc_client)),
+    "att_run_server": (Signature((_SES,), None), _start(protocols.rpc_server)),
     "att_compromise_client": (
         Signature((_SES,), _B), lambda rt, s: protocols.compromise_rpc(rt, s, "client"),
     ),
@@ -128,9 +129,9 @@ _RPC_INTERFACE = {
 _OR_INTERFACE = {
     **_SHARED_INTERFACE,
     "att_or_setup": (Signature((_B, _B), _SES), protocols.setup_or),
-    "att_run_initiator": (Signature((_SES,), None), _start("or_initiator", protocols.or_initiator)),
-    "att_run_responder": (Signature((_SES,), None), _start("or_responder", protocols.or_responder)),
-    "att_run_server": (Signature((_SES,), None), _start("or_server", protocols.or_server)),
+    "att_run_initiator": (Signature((_SES,), None), _start(protocols.or_initiator)),
+    "att_run_responder": (Signature((_SES,), None), _start(protocols.or_responder)),
+    "att_run_server": (Signature((_SES,), None), _start(protocols.or_server)),
     "att_compromise_principal": (Signature((_SES, _B), _B), protocols.compromise_or),
     "att_getChannel_initiator": (Signature((_SES,), _C), lambda rt, s: s.init_channel),
     "att_getChannel_responder": (Signature((_SES,), _C), lambda rt, s: s.resp_channel),

@@ -9,9 +9,10 @@ Three subcommands:
     query  decide the level judgement for a term over a saved event log
 
 Exit codes: 0 ok, 10 assertion failure, 11 assumption failure, 12
-deadlock, 13 contract violation, 2 usage or input errors, and also 2 when
-two distinct equal terms are too deep to compare (see terms).  ``fuzz``
-exits 10 on a counterexample, ``query`` 1 when the judgement does not hold.
+deadlock, 13 contract violation, 2 usage or input errors.  ``fuzz`` exits
+10 on a counterexample; ``query`` exits 1 when the judgement does not
+hold, and also 2 when two distinct equal terms are too deep to compare
+(see terms).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import sys
 from pathlib import Path
 
 from .attacker import PROTOCOLS, run_attack
-from .dsl import parse_attack
 from .errors import AttackSyntaxError, TermSyntaxError
 from .fuzz import fuzz_attacks
 from .levels import Level, explain, level
@@ -79,7 +79,10 @@ def _load_log(path: str) -> Log:
     text = Path(path).read_text(encoding="utf-8-sig")
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("log JSON nested too deeply") from None
         binds = doc.get("response_binds_request", True)
         if not isinstance(binds, bool):
             raise ValueError("'response_binds_request' must be true or false")
@@ -109,8 +112,7 @@ def _cmd_run(args) -> int:
             print(f"run: cannot read {args.script}: {exc}", file=sys.stderr)
             return 2
     try:
-        program = parse_attack(text)
-        result = run_attack(program, args.protocol, seed=args.seed)
+        result = run_attack(text, args.protocol, seed=args.seed)
     except AttackSyntaxError as exc:
         print(f"run: {exc}", file=sys.stderr)
         return 2
@@ -178,29 +180,32 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    try:
-        log = _load_log(args.logfile)
-        term = parse_term(args.term)
-    except (OSError, ValueError, TermSyntaxError, KeyError) as exc:
-        print(f"query: {exc}", file=sys.stderr)
-        return 2
     lv = Level.LOW if args.level == "low" else Level.HIGH
-    holds = level(lv, term, log)
-    if args.explain:
-        print("\n".join(explain(lv, term, log)))
-    else:
-        print(f"level({args.level}, {args.term}) = {str(holds).lower()}")
+    try:
+        try:
+            log = _load_log(args.logfile)
+            term = parse_term(args.term)
+        except (OSError, ValueError, TermSyntaxError, KeyError) as exc:
+            print(f"query: {exc}", file=sys.stderr)
+            return 2
+        holds = level(lv, term, log)
+        out = (
+            "\n".join(explain(lv, term, log)) if args.explain
+            else f"level({args.level}, {args.term}) = {str(holds).lower()}"
+        )
+    except RecursionError as exc:
+        # the log's lookups and the level memo compare trees parsed apart,
+        # and equal ones deeper than the recursion limit cannot be compared
+        print(f"query: terms too deep to compare: {exc}", file=sys.stderr)
+        return 2
+    print(out)
     return 0 if holds else 1
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     command = {"run": _cmd_run, "fuzz": _cmd_fuzz, "query": _cmd_query}[args.command]
-    try:
-        return command(args)
-    except RecursionError as exc:
-        print(f"{args.command}: terms too deep to compare: {exc}", file=sys.stderr)
-        return 2
+    return command(args)
 
 
 if __name__ == "__main__":

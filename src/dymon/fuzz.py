@@ -32,7 +32,7 @@ import time
 from bisect import bisect
 from collections import Counter
 from itertools import accumulate
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Sequence
 
 from .attacker import _run, interface_for, run_attack
 from .dsl import AttackProgram, Step, ValueKind, format_attack, program_of
@@ -184,34 +184,18 @@ def generate_program(rng: random.Random, protocol: str, max_len: int) -> AttackP
     return program_of(steps, interface)
 
 
-class FuzzResult:
-    """The outcome of fuzz_attacks; a run fills it in as it goes."""
+class FuzzResult(NamedTuple):
+    """The outcome of fuzz_attacks."""
 
-    def __init__(
-        self,
-        protocol: str,
-        count: int,
-        max_len: int,
-        seed: int,
-        histogram: dict[str, int],
-        counterexamples: Optional[list[dict]] = None,
-        secrecy_violations: Optional[list[dict]] = None,
-        corpus_runs: int = 0,
-        elapsed: float = 0.0,
-    ):
-        self.protocol = protocol
-        self.count = count
-        self.max_len = max_len
-        self.seed = seed
-        self.histogram = histogram
-        self.counterexamples = [] if counterexamples is None else counterexamples
-        self.secrecy_violations = [] if secrecy_violations is None else secrecy_violations
-        self.corpus_runs = corpus_runs
-        self.elapsed = elapsed
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"FuzzResult({fields})"
+    protocol: str
+    count: int
+    max_len: int
+    seed: int
+    histogram: dict[str, int]
+    counterexamples: Sequence[dict] = ()
+    secrecy_violations: Sequence[dict] = ()
+    corpus_runs: int = 0
+    elapsed: float = 0.0
 
     def to_report(self) -> dict:
         return {
@@ -240,14 +224,14 @@ def fuzz_attacks(
     rng = random.Random(seed)
     corpus = CORPUS.get(protocol, ())
     histogram: Counter[str] = Counter()
-    out = FuzzResult(protocol, count, max_len, seed, histogram)
+    counterexamples: list[dict] = []
+    secrecy_violations: list[dict] = []
     started = time.monotonic()
 
     for i in range(count):
         run_seed = rng.getrandbits(32)
         if i < len(corpus):
             program = corpus[i]
-            out.corpus_runs += 1
             result = run_attack(program, protocol, seed=run_seed)
         else:
             ran: list[Step] = []  # the steps as they run, for a counterexample
@@ -258,19 +242,21 @@ def fuzz_attacks(
         if kind is _ASSERTION_FAILURE:
             if i >= len(corpus):
                 program = format_attack(program_of(ran, interface))
-            out.counterexamples.append({
+            counterexamples.append({
                 "iteration": i,
                 "seed": run_seed,
                 "verdict": result.verdict.to_dict(),
                 "program": program,
             })
         for lit, usage in weak_secrecy_violations(result.state.log):
-            out.secrecy_violations.append({
+            secrecy_violations.append({
                 "iteration": i,
                 "seed": run_seed,
                 "term": render_term(lit),
                 "usage": render_usage(usage),
             })
 
-    out.elapsed = time.monotonic() - started
-    return out
+    return FuzzResult(
+        protocol, count, max_len, seed, histogram, counterexamples, secrecy_violations,
+        min(count, len(corpus)), time.monotonic() - started,
+    )

@@ -74,8 +74,6 @@ def responder_assertion(log: Log, b: Term, nb: Term, kab: Term, a: Term) -> bool
 
 
 class RpcSession(NamedTuple):
-    client_pub: bytes
-    server_pub: bytes
     t_client: Term
     t_server: Term
     key: bytes
@@ -111,10 +109,7 @@ def setup_rpc(rt: Runtime, client_pub: bytes, server_pub: bytes) -> RpcSession |
     if key is None:
         return None
     n = rt.next_session()
-    return RpcSession(
-        client_pub, server_pub, t_c, t_s, key,
-        Channel(f"client{n}"), Channel(f"server{n}"),
-    )
+    return RpcSession(t_c, t_s, key, Channel(f"client{n}"), Channel(f"server{n}"))
 
 
 def setup_or(rt: Runtime, a_pub: bytes, b_pub: bytes) -> OrSession | None:

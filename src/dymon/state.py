@@ -30,7 +30,6 @@ from .errors import ContractViolationError, TableAuditError
 from .levels import Level, can_hmac, can_senc, hmac_comp, level, senc_comp
 from .terms import (
     AttackerGuess,
-    Bad,
     Convention,
     Event,
     Hmac,
@@ -107,8 +106,8 @@ class CryptoState:
         log: Optional[Log] = None,
         table: Optional[RepresentationTable] = None,
     ):
-        # a given log carries its own convention; initial_state passes the
-        # template's log and a copy of its table
+        # a given log carries its own convention; initial_state passes a
+        # log over the template's and a copy of its table
         self.log = Log.empty(convention) if log is None else log
         self.table = RepresentationTable() if table is None else table
         self.mac_fn = mac_fn or backend.hmac_sha1
@@ -240,18 +239,23 @@ class CryptoState:
         self._post_op()
         return x, y
 
-    def w_hmacsha1(self, key: bytes, msg: bytes) -> bytes:
-        tk = self._require_registered(key, "hmacsha1")
-        tm = self._require_registered(msg, "hmacsha1")
-        t = Hmac(tk, tm)
+    def _keyed(self, cons, key: bytes, body: bytes, location: str, reason: str) -> bytes:
+        """The MAC and encryption contracts: register cons(key, body), an
+        Hmac or an SEnc, over its bytes, refused unless that term is High."""
+        tk = self._require_registered(key, location)
+        tb = self._require_registered(body, location)
+        t = cons(tk, tb)
         if not level(_HIGH, t, self.log):
-            raise ContractViolationError(
-                "hmacsha1", "payload not sayable under key usage and key not public"
-            )
-        digest = self.mac_fn(key, msg)
-        self._register(digest, t)
+            raise ContractViolationError(location, reason)
+        out = (self.mac_fn if cons is Hmac else backend.senc)(key, body)
+        self._register(out, t)
         self._post_op()
-        return digest
+        return out
+
+    def w_hmacsha1(self, key: bytes, msg: bytes) -> bytes:
+        return self._keyed(
+            Hmac, key, msg, "hmacsha1", "payload not sayable under key usage and key not public",
+        )
 
     def w_hmacsha1_verify(self, key: bytes, msg: bytes, mac: bytes) -> bool:
         tk = self._require_registered(key, "hmacsha1_verify")
@@ -283,17 +287,9 @@ class CryptoState:
         return ok
 
     def w_senc(self, key: bytes, plaintext: bytes) -> bytes:
-        tk = self._require_registered(key, "senc")
-        tp = self._require_registered(plaintext, "senc")
-        t = SEnc(tk, tp)
-        if not level(_HIGH, t, self.log):
-            raise ContractViolationError(
-                "senc", "plaintext not a well-formed ticket and key not public"
-            )
-        out = backend.senc(key, plaintext)
-        self._register(out, t)
-        self._post_op()
-        return out
+        return self._keyed(
+            SEnc, key, plaintext, "senc", "plaintext not a well-formed ticket and key not public",
+        )
 
     def w_sdec(self, key: bytes, ciphertext: bytes) -> bytes:
         """Authenticated decryption.  Raises AuthFailureError on bad tags."""
@@ -386,10 +382,12 @@ def initial_state(
     """Fresh state with the two message-format tags pre-registered.
 
     The tags are registered and audited once per convention, in a template.
-    Every state made from it shares the template's Log, which is immutable
-    (so its level memo holds for every run), and gets its own copies of the
-    two table dicts and its own ``mac_fn``; the wrapper-call count and the
-    audit snapshot start where the template's ended.
+    Every state made from it gets its own Log over the template's event and
+    usage containers, which ``Log.add`` never mutates, with a copy of the
+    template's level memo (the two tags), so what a run memoizes stays with
+    that run; its own copies of the two table dicts; and its own
+    ``mac_fn``.  The wrapper-call count and the audit snapshot start where
+    the template's ended.
     """
     template = _TEMPLATES.get(convention)
     if template is None:
@@ -399,10 +397,11 @@ def initial_state(
             template._log_add(New(lit, _GUESS))
             template._register(tag, lit)
         template._post_op()
-    table = template.table
+    tl, table = template.log, template.table
+    log = Log(tl._events, tl._usages, tl._responses, tl.good, tl.convention)
+    log._memo = tl._memo.copy()
     cs = CryptoState(
-        mac_fn=mac_fn, log=template.log,
-        table=RepresentationTable(table.by_bytes, table.by_term),
+        mac_fn=mac_fn, log=log, table=RepresentationTable(table.by_bytes, table.by_term),
     )
     cs.wrapper_calls = template.wrapper_calls
     cs._last_table_len, cs._last_log_len = template._last_table_len, template._last_log_len

@@ -255,6 +255,27 @@ def test_run_accepts_text_or_parsed_program():
     assert a.state.log == b.state.log
 
 
+_SESSION_OF_ALICE_AND_BOB = (
+    'let a : string\na = "Alice"\nlet b : string\nb = "Bob"\n'
+    "let x : bytespub\nx = att_toBytespub(a)\nlet y : bytespub\ny = att_toBytespub(b)\n"
+    "let s : session\n"
+)
+
+
+@pytest.mark.parametrize("protocol, start, role", [
+    ("rpc-correct", "s = att_setup(x, y)\natt_run_client(s, x)", "rpc_client"),
+    ("rpc-correct", "s = att_setup(x, y)\natt_run_server(s)", "rpc_server"),
+    ("otway-rees", "s = att_or_setup(x, y)\natt_run_initiator(s)", "or_initiator"),
+    ("otway-rees", "s = att_or_setup(x, y)\natt_run_responder(s)", "or_responder"),
+    ("otway-rees", "s = att_or_setup(x, y)\natt_run_server(s)", "or_server"),
+])
+def test_a_started_role_is_named_after_its_function(protocol, start, role):
+    # a role started alone waits for a message that never comes
+    v = run_attack(_SESSION_OF_ALICE_AND_BOB + start, protocol).verdict
+    assert v.kind is VerdictKind.DEADLOCK
+    assert v.location == f"{role}#1"
+
+
 def test_runs_are_deterministic_in_seed():
     a = run_attack(RPC_HONEST, "rpc-correct", seed=4)
     b = run_attack(RPC_HONEST, "rpc-correct", seed=4)

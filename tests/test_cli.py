@@ -256,6 +256,35 @@ def test_query_comparing_trees_too_deep_exits_two(tmp_path, capsys):
     assert err.startswith("query: terms too deep to compare") and err.count("\n") == 1
 
 
+@pytest.mark.skipif(
+    sys.version_info >= (3, 12),
+    reason="tuple comparison counts against CPython's fixed C recursion limit",
+)
+def test_query_over_a_log_logging_one_deep_event_twice_exits_two(tmp_path, capsys):
+    # the second line's event equals the first, and the log's lookup
+    # compares the two trees tuple by tuple
+    depth = 3 * sys.getrecursionlimit() // 2
+    chain = "Pair(" * depth + "Literal(0x41)" + ",Literal(0x41))" * depth
+    logfile = tmp_path / "events.txt"
+    logfile.write_text(f"Request(Literal(0x41),Literal(0x42),{chain})\n" * 2)
+    code, out, err = run_cli(
+        capsys, "query", str(logfile), "--level", "low", "--term", "Literal(0x41)",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("query: terms too deep to compare") and err.count("\n") == 1
+
+
+def test_query_over_deeply_nested_json_is_a_malformed_log(tmp_path, capsys):
+    logfile = tmp_path / "nested.json"
+    logfile.write_text('{"events": ' + "[" * 100_000)
+    code, out, err = run_cli(
+        capsys, "query", str(logfile), "--level", "low", "--term", "Literal(0x41)",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("query: ") and err.count("\n") == 1
+    assert "terms too deep to compare" not in err
+
+
 def test_query_plain_event_lines_and_explain(tmp_path, capsys):
     logfile = tmp_path / "events.txt"
     logfile.write_text(

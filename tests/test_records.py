@@ -30,10 +30,7 @@ RECORDS = {
     Call: (("fn", "args", "var", "line"), {"var": None, "line": 0}),
     AssumptionFailure: (("kind", "data", "existing", "attempted", "note"), {"note": ""}),
     Verdict: (("kind", "location", "detail"), {"location": None, "detail": None}),
-    RpcSession: ((
-        "client_pub", "server_pub", "t_client", "t_server", "key",
-        "client_channel", "server_channel",
-    ), {}),
+    RpcSession: (("t_client", "t_server", "key", "client_channel", "server_channel"), {}),
     OrSession: ((
         "a_pub", "b_pub", "t_a", "t_b", "key_a", "key_b",
         "init_channel", "resp_channel", "serv_channel",
@@ -45,10 +42,10 @@ RECORDS = {
     FuzzResult: ((
         "protocol", "count", "max_len", "seed", "histogram", "counterexamples",
         "secrecy_violations", "corpus_runs", "elapsed",
-    ), {"counterexamples": [], "secrecy_violations": [], "corpus_runs": 0, "elapsed": 0.0}),
+    ), {"counterexamples": (), "secrecy_violations": (), "corpus_runs": 0, "elapsed": 0.0}),
 }
 FROZEN = (Convention, Signature, AttackProgram, Decl, AssignString, Call,
-          AssumptionFailure, Verdict)
+          AssumptionFailure, Verdict, FuzzResult)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
@@ -91,14 +88,13 @@ def test_verdict_defaults_location_and_detail_to_none():
 
 
 def test_fuzz_results_share_no_list():
+    # the defaults are immutable, so no two results can share a list
     a = FuzzResult("rpc-flawed", 1, 16, 0, {})
-    b = FuzzResult("rpc-flawed", 1, 16, 0, {})
-    a.counterexamples.append({})
-    a.secrecy_violations.append({})
-    assert b.counterexamples == [] and b.secrecy_violations == []
-    a.corpus_runs += 1
-    a.elapsed = 2.5
-    assert a.to_report()["corpus_runs"] == 1 and a.to_report()["elapsed_seconds"] == 2.5
+    assert a.counterexamples == () and a.secrecy_violations == ()
+    with pytest.raises(AttributeError):
+        a.corpus_runs += 1
+    b = a._replace(corpus_runs=1, elapsed=2.5)
+    assert b.to_report()["corpus_runs"] == 1 and b.to_report()["elapsed_seconds"] == 2.5
 
 
 def test_statements_compare_and_hash_by_class_and_fields_not_line():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from dymon import state
 from dymon import (
     AssumptionKind,
     AttackerGuess,
@@ -118,6 +119,24 @@ def test_initial_states_share_no_table_and_keep_their_mac():
     c = initial_state()
     assert len(c.table) == 2 and len(c.log) == 2 and c.mac_fn is hmac_sha1
 
+
+
+def test_runs_share_no_level_memo_with_the_template():
+    # pairs over a tag, and no event: every level is judged over the
+    # initial log, and the memo those judgements fill belongs to the run
+    def program(tag):
+        return f'let a : string\na = "{tag}"\nlet p0 : bytespub\np0 = att_toBytespub(a)\n' + "".join(
+            f"let p{i} : bytespub\np{i} = att_pair(p{i - 1}, p0)\n" for i in range(1, 31)
+        )
+
+    initial_state(Convention(True))  # builds the template
+    memo = state._TEMPLATES[Convention(True)].log._memo
+    size = len(memo)
+    for tag in ("1", "2"):
+        r = run_attack(program(tag), "rpc-correct")
+        assert r.verdict.kind is VerdictKind.OK
+        assert len(r.state.log) == 2 and len(r.state.log._memo) > 30
+    assert len(memo) == size
 
 # -- w_to_string ---------------------------------------------------------------
 
@@ -306,6 +325,28 @@ def test_sdec_foreign_term_under_matching_tag_is_collision():
     assert out == b"data"
     assert cs.failure.kind is AssumptionKind.COLLISION
     assert "does not match" in cs.failure.note
+
+
+@pytest.mark.parametrize("wrapper, usage, location, reason", [
+    ("w_hmacsha1", HmacKey(PresharedKey(A, B)), "hmacsha1",
+     "payload not sayable under key usage and key not public"),
+    ("w_senc", SEncKey(PrincipalKey(A)), "senc",
+     "plaintext not a well-formed ticket and key not public"),
+])
+def test_mac_and_cipher_refusals_name_their_wrapper(wrapper, usage, location, reason):
+    cs = seeded(initial_state())
+    key = with_key(cs, usage)
+    body = cs.w_to_string(b"unsanctioned")
+    sizes = (len(cs.table), len(cs.log), cs.wrapper_calls)
+    with pytest.raises(ContractViolationError) as refused:
+        getattr(cs, wrapper)(key, body)
+    assert (refused.value.location, refused.value.reason) == (location, reason)
+    with pytest.raises(ContractViolationError) as unregistered:
+        getattr(cs, wrapper)(key, b"never registered")
+    assert (unregistered.value.location, unregistered.value.reason) == (
+        location, "unregistered bytes",
+    )
+    assert (len(cs.table), len(cs.log), cs.wrapper_calls) == sizes
 
 
 def test_log_event_refuses_new():
