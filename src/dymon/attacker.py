@@ -7,7 +7,7 @@ principals.
 
 One call rule decides what every attacker call gives back.  The result is
 the failure value FAILED, which poisons every call that takes it, when an
-argument is FAILED, when the call is refused (a malformed destruct, an
+argument is FAILED, when the call is refused (a rejected split, an
 empty string, a setup over unregistered principals, ...), or when the call
 records an assumption failure.  Otherwise a bytespub result must be
 registered and Low: every bytespub the attacker holds is public, and one
@@ -64,21 +64,10 @@ def _as_bytespub(rt: Runtime, data: bytes) -> bytes:
 
 
 # An entry is (signature, impl); impl(rt, *args) returns the call's result,
-# or None when the call is refused, and the interpreter applies the call
-# rule.  Wrappers are looked up on rt.cs at call time, never bound here, so
-# whatever wraps CryptoState's methods sees every call.
-
-
-def _part(index: int):
-    """att_fst / att_snd: one half of a pair; malformed framing is a refusal."""
-
-    def impl(rt: Runtime, x: bytes):
-        try:
-            return rt.cs.w_destruct(x)[index]
-        except MalformedPairError:
-            return None
-
-    return impl
+# or None when the call is refused (a split refuses by raising
+# MalformedPairError), and the interpreter applies the call rule.  Wrappers
+# are looked up on rt.cs at call time, never bound here, so whatever wraps
+# CryptoState's methods sees every call.
 
 
 def _start(role):
@@ -95,8 +84,8 @@ def _start(role):
 _SHARED_INTERFACE = {
     "att_toBytespub": (Signature((_S,), _B), lambda rt, s: rt.cs.w_to_string(s) if s else None),
     "att_pair": (Signature((_B, _B), _B), lambda rt, x, y: rt.cs.w_pair(x, y)),
-    "att_fst": (Signature((_B,), _B), _part(0)),
-    "att_snd": (Signature((_B,), _B), _part(1)),
+    "att_fst": (Signature((_B,), _B), lambda rt, x: rt.cs.w_destruct(x)[0]),
+    "att_snd": (Signature((_B,), _B), lambda rt, x: rt.cs.w_destruct(x)[1]),
     "att_hmacsha1": (Signature((_B, _B), _B), lambda rt, k, m: rt.cs.w_hmacsha1(k, m)),
     "att_hmacsha1Verify": (
         Signature((_B, _B, _B), None), lambda rt, k, m, mac: rt.cs.w_hmacsha1_verify(k, m, mac),
@@ -233,6 +222,8 @@ def _run(steps: Iterable[Step], protocol: str, seed: int, rand, mac_fn) -> RunRe
                 before = len(cs.failures)
                 try:
                     result = impl(rt, *vals)
+                except MalformedPairError:
+                    result = None
                 except ContractViolationError as exc:
                     rt.contract_violation(exc)  # never returns
                 if result is not None and len(cs.failures) == before:

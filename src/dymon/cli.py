@@ -87,6 +87,8 @@ def _load_log(path: str) -> Log:
         if not isinstance(binds, bool):
             raise ValueError("'response_binds_request' must be true or false")
         convention = Convention(binds)
+        if "events" not in doc:
+            raise ValueError("log JSON has no 'events' list")
         lines = doc["events"]
         if not isinstance(lines, list) or not all(isinstance(ln, str) for ln in lines):
             raise ValueError("'events' must be a list of rendered events")
@@ -185,7 +187,7 @@ def _cmd_query(args) -> int:
         try:
             log = _load_log(args.logfile)
             term = parse_term(args.term)
-        except (OSError, ValueError, TermSyntaxError, KeyError) as exc:
+        except (OSError, ValueError, TermSyntaxError) as exc:
             print(f"query: {exc}", file=sys.stderr)
             return 2
         holds = level(lv, term, log)

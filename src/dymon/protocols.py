@@ -2,8 +2,9 @@
 
 Roles run over the wrapper surface only; they never touch the table or
 the concrete crypto directly.  Each role is a generator; reads off its
-channel suspend it.  A role that receives something malformed or fails a
-MAC/shape check aborts silently (plain return): abort is not a verdict.
+channel suspend it.  The runtime ends a role whose split or decryption
+fails, and a role that fails a MAC or shape check returns: either abort
+is silent, and not a verdict.
 
 Message formats
 
@@ -27,7 +28,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .backend import DEFAULT_KEY_LEN
-from .errors import AuthFailureError, MalformedPairError
 from .runtime import Channel, Runtime
 from .state import CryptoState
 from .terms import (
@@ -151,10 +151,7 @@ def rpc_client(rt: Runtime, ses: RpcSession, request: bytes):
     rt.role_write(ses.client_channel, cs.w_pair(request, mac1))
 
     msg2 = yield from rt.channel_read(ses.client_channel)
-    try:
-        resp, mac2 = cs.w_destruct(msg2)
-    except MalformedPairError:
-        return
+    resp, mac2 = cs.w_destruct(msg2)
     to_mac2 = cs.w_pair(TAG_RESPONSE, _response_payload(cs, request, resp))
     if not cs.w_hmacsha1_verify(ses.key, to_mac2, mac2):
         return
@@ -169,10 +166,7 @@ def rpc_client(rt: Runtime, ses: RpcSession, request: bytes):
 def rpc_server(rt: Runtime, ses: RpcSession):
     cs = rt.cs
     msg1 = yield from rt.channel_read(ses.server_channel)
-    try:
-        req, mac1 = cs.w_destruct(msg1)
-    except MalformedPairError:
-        return
+    req, mac1 = cs.w_destruct(msg1)
     if not cs.w_hmacsha1_verify(ses.key, cs.w_pair(TAG_REQUEST, req), mac1):
         return
     t_req = cs.term_of(req)
@@ -211,13 +205,10 @@ def or_initiator(rt: Runtime, ses: OrSession):
     rt.role_write(ses.init_channel, msg1)
 
     ticket = yield from rt.channel_read(ses.init_channel)
-    try:
-        plain = cs.w_sdec(ses.key_a, ticket)
-        x_a, rest = cs.w_destruct(plain)
-        x_b, rest2 = cs.w_destruct(rest)
-        kab, x_na = cs.w_destruct(rest2)
-    except (AuthFailureError, MalformedPairError):
-        return
+    plain = cs.w_sdec(ses.key_a, ticket)
+    x_a, rest = cs.w_destruct(plain)
+    x_b, rest2 = cs.w_destruct(rest)
+    kab, x_na = cs.w_destruct(rest2)
     if not (x_a == ses.a_pub and x_b == ses.b_pub and x_na == na):
         return
     t_kab = cs.term_of(kab)
@@ -231,11 +222,8 @@ def or_initiator(rt: Runtime, ses: OrSession):
 def or_responder(rt: Runtime, ses: OrSession):
     cs = rt.cs
     msg1 = yield from rt.channel_read(ses.resp_channel)
-    try:
-        x_a, rest = cs.w_destruct(msg1)
-        x_b, na = cs.w_destruct(rest)
-    except MalformedPairError:
-        return
+    x_a, rest = cs.w_destruct(msg1)
+    x_b, na = cs.w_destruct(rest)
     # refuse sessions that name one principal on both sides
     if x_a == x_b:
         return
@@ -249,14 +237,11 @@ def or_responder(rt: Runtime, ses: OrSession):
     rt.role_write(ses.resp_channel, msg2)
 
     msg3 = yield from rt.channel_read(ses.resp_channel)
-    try:
-        ticket_a, ticket_b = cs.w_destruct(msg3)
-        plain = cs.w_sdec(ses.key_b, ticket_b)
-        y_a, rest = cs.w_destruct(plain)
-        y_b, rest2 = cs.w_destruct(rest)
-        kab, y_nb = cs.w_destruct(rest2)
-    except (AuthFailureError, MalformedPairError):
-        return
+    ticket_a, ticket_b = cs.w_destruct(msg3)
+    plain = cs.w_sdec(ses.key_b, ticket_b)
+    y_a, rest = cs.w_destruct(plain)
+    y_b, rest2 = cs.w_destruct(rest)
+    kab, y_nb = cs.w_destruct(rest2)
     if not (y_a == x_a and y_b == x_b and y_nb == nb):
         return
     t_kab = cs.term_of(kab)
@@ -271,12 +256,9 @@ def or_responder(rt: Runtime, ses: OrSession):
 def or_server(rt: Runtime, ses: OrSession):
     cs = rt.cs
     msg2 = yield from rt.channel_read(ses.serv_channel)
-    try:
-        z_a, rest = cs.w_destruct(msg2)
-        z_b, rest2 = cs.w_destruct(rest)
-        z_na, z_nb = cs.w_destruct(rest2)
-    except MalformedPairError:
-        return
+    z_a, rest = cs.w_destruct(msg2)
+    z_b, rest2 = cs.w_destruct(rest)
+    z_na, z_nb = cs.w_destruct(rest2)
     if z_a == z_b:
         return
     if not (z_a == ses.a_pub and z_b == ses.b_pub):

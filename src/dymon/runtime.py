@@ -9,7 +9,9 @@ All scheduling is deterministic under the run seed; the only freedom is
 the order in which independently runnable roles advance, drawn from an
 RNG seeded the first time two or more roles are runnable at once.  The
 scheduler looks only at the live roles (spawned and not yet done), so a
-long run does not rescan every role it ever spawned.
+long run does not rescan every role it ever spawned.  ``_step`` alone
+decides how a role ends; it ends a role whose split or decryption fails,
+as if the role had returned: rejected input is no verdict.
 
 Verdict discipline (the safety semantics):
   * an assertion failure or a contract violation decides the run, and ends
@@ -31,7 +33,7 @@ from collections import deque
 from typing import Iterator, NamedTuple, NoReturn, Optional
 
 from .backend import RandomSource
-from .errors import ContractViolationError
+from .errors import AuthFailureError, ContractViolationError, MalformedPairError
 from .state import CryptoState
 
 
@@ -227,10 +229,11 @@ class Runtime:
             self._step(task)
 
     def _step(self, task: RoleTask):
-        # a role yields only from channel_read, and only on an empty channel
+        # a role yields only from channel_read, and only on an empty channel;
+        # bad framing (w_destruct) or a bad tag (w_sdec) ends it like a return
         try:
             task.waiting_on = task.gen.send(None)
-        except (StopIteration, _RoleAbort):
+        except (StopIteration, _RoleAbort, MalformedPairError, AuthFailureError):
             task.done = True
         except ContractViolationError as exc:
             task.done = True

@@ -345,7 +345,9 @@ def test_fuzz_rejects_negative_sizes(flag, capsys):
 
 
 def test_query_malformed_dump_exits_two(tmp_path, capsys):
-    for doc in ({"events": [5]}, {"events": "Bad(Literal(0x41))"}, {"events": None}):
+    for doc in (
+        {"events": [5]}, {"events": "Bad(Literal(0x41))"}, {"events": None}, {"x": 1},
+    ):
         dump = tmp_path / "log.json"
         dump.write_text(json.dumps(doc))
         code, out, err = run_cli(
@@ -353,6 +355,8 @@ def test_query_malformed_dump_exits_two(tmp_path, capsys):
         )
         assert code == 2 and out == ""
         assert err.startswith("query: ")
+    # the last document has no events at all
+    assert err == "query: log JSON has no 'events' list\n"
 
 
 @pytest.mark.parametrize("flag", ["false", None, 0])

@@ -1,5 +1,7 @@
 """Protocol role behavior, observed through whole attack runs."""
 
+import pytest
+
 from dymon import (
     Bad,
     Level,
@@ -9,6 +11,7 @@ from dymon import (
     RPC_SPLICE,
     Request,
     Response,
+    Verdict,
     VerdictKind,
     level,
     run_attack,
@@ -251,3 +254,107 @@ def test_or_compromise_of_stranger_fails_quietly():
     r = run_attack(script, "otway-rees", seed=3)
     assert r.verdict.kind is VerdictKind.OK
     assert not any(isinstance(e, Bad) for e in r.state.log)
+
+
+# -- rejected input ends the role --------------------------------------------------
+
+_RPC_SESSION = """\
+let a : string
+a = "Alice"
+let b : string
+b = "Bob"
+let alice : bytespub
+alice = att_toBytespub(a)
+let bob : bytespub
+bob = att_toBytespub(b)
+let s : session
+s = att_setup(alice, bob)
+let clientC : channel
+clientC = att_getChannel_client(s)
+let serverC : channel
+serverC = att_getChannel_server(s)
+"""
+
+_OR_SESSION = """\
+let a : string
+a = "Alice"
+let b : string
+b = "Bob"
+let n : string
+n = "nonce"
+let alice : bytespub
+alice = att_toBytespub(a)
+let bob : bytespub
+bob = att_toBytespub(b)
+let np : bytespub
+np = att_toBytespub(n)
+let s : session
+s = att_or_setup(alice, bob)
+let initC : channel
+initC = att_getChannel_initiator(s)
+let respC : channel
+respC = att_getChannel_responder(s)
+let servC : channel
+servC = att_getChannel_server(s)
+let inner : bytespub
+inner = att_pair(bob, np)
+let m1 : bytespub
+m1 = att_pair(alice, inner)
+"""
+
+# One program per place a role splits or decrypts what it read.  "Bob" is
+# three bytes, too short for the four-byte length prefix of pair framing.
+REJECTIONS = {
+    "rpc-server-unframed-request": ("rpc-correct", _RPC_SESSION + """\
+att_run_server(s)
+att_channel_write(serverC, bob)
+"""),
+    "rpc-client-unframed-response": ("rpc-correct", _RPC_SESSION + """\
+let r : string
+r = "Request"
+let arg : bytespub
+arg = att_toBytespub(r)
+att_run_client(s, arg)
+let req : bytespub
+req = att_channel_read(clientC)
+att_channel_write(clientC, bob)
+"""),
+    # the initiator's own first message is no ticket under its key
+    "initiator-echoed-message": ("otway-rees", _OR_SESSION + """\
+att_run_initiator(s)
+let echo : bytespub
+echo = att_channel_read(initC)
+att_channel_write(initC, echo)
+"""),
+    "responder-unframed-first-message": ("otway-rees", _OR_SESSION + """\
+att_run_responder(s)
+att_channel_write(respC, bob)
+"""),
+    # a well-formed first message, then a pair whose second half is the
+    # responder's own message, not a ticket under Kb
+    "responder-second-half-not-a-ticket": ("otway-rees", _OR_SESSION + """\
+att_run_responder(s)
+att_channel_write(respC, m1)
+let m2 : bytespub
+m2 = att_channel_read(respC)
+let m3 : bytespub
+m3 = att_pair(np, m2)
+att_channel_write(respC, m3)
+"""),
+    # a | b | Na: the nonce is no pair of two nonces
+    "key-server-three-parts": ("otway-rees", _OR_SESSION + """\
+att_run_server(s)
+att_channel_write(servC, m1)
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTIONS))
+def test_role_that_rejects_its_input_ends_without_a_verdict(name):
+    protocol, script = REJECTIONS[name]
+    r = run_attack(script, protocol, seed=0)
+    # a role still waiting would make the run a deadlock naming it
+    assert r.verdict == Verdict(VerdictKind.OK)
+    assert r.roles_spawned == 1
+    assert r.assertions_checked == 0
+    assert r.state.failures == []

@@ -6,14 +6,17 @@ import pytest
 
 from dymon import (
     AssumptionKind,
+    AuthFailureError,
     Channel,
     ContractViolationError,
     EXIT_CODES,
     HmacKey,
     Literal,
+    MalformedPairError,
     PresharedKey,
     RandomSource,
     Runtime,
+    TableAuditError,
     Verdict,
     VerdictKind,
     initial_state,
@@ -167,6 +170,41 @@ def test_finalize_ok_when_everyone_finished():
 
     rt.spawn("worker", worker())
     assert rt.finalize().kind is VerdictKind.OK
+
+
+@pytest.mark.parametrize("error", [MalformedPairError, AuthFailureError])
+def test_role_whose_split_or_decryption_fails_ends_and_the_run_goes_on(error):
+    rt = make_rt()
+    ch = Channel("c")
+
+    def rejecter():
+        raise error("rejected input")
+        yield
+
+    def talker():
+        rt.role_write(ch, rt.cs.w_to_string(b"hi"))
+        return
+        yield
+
+    assert rt.spawn("rejecter", rejecter()).done
+    rt.spawn("talker", talker())
+    assert rt.att_read(ch) == b"hi"
+    assert rt.finalize() == Verdict(VerdictKind.OK)
+
+
+def test_table_audit_error_in_a_role_escapes_the_run():
+    # a fault in dymon itself, not an input a role rejects
+    rt = make_rt()
+    ch = Channel("c")
+
+    def broken():
+        yield from rt.channel_read(ch)
+        raise TableAuditError("broken invariant")
+
+    rt.spawn("broken", broken())
+    ch.from_net.append(rt.cs.w_to_string(b"go"))
+    with pytest.raises(TableAuditError):
+        rt.drain()
 
 
 def _parked(ch, order, name):
