@@ -143,10 +143,10 @@ _BY_PROTOCOL = {
 
 
 def _lookup(protocol: str):
-    try:
-        return _BY_PROTOCOL[protocol]
-    except KeyError:
-        raise ValueError(f"unknown protocol {protocol!r}") from None
+    # a tuple test, so a non-string read from a log is unknown, not a TypeError
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    return _BY_PROTOCOL[protocol]
 
 
 def interface_for(protocol: str) -> Mapping[str, Signature]:

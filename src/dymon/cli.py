@@ -22,7 +22,7 @@ import json
 import sys
 from pathlib import Path
 
-from .attacker import PROTOCOLS, run_attack
+from .attacker import PROTOCOLS, _lookup, run_attack
 from .errors import AttackSyntaxError, TermSyntaxError
 from .fuzz import fuzz_attacks
 from .levels import Level, explain, level
@@ -83,10 +83,14 @@ def _load_log(path: str) -> Log:
             doc = json.loads(text)
         except RecursionError:
             raise ValueError("log JSON nested too deeply") from None
-        binds = doc.get("response_binds_request", True)
-        if not isinstance(binds, bool):
-            raise ValueError("'response_binds_request' must be true or false")
-        convention = Convention(binds)
+        if "response_binds_request" not in doc and "protocol" in doc:
+            # a `run --json` report names its protocol, not its convention
+            _, _, convention = _lookup(doc["protocol"])
+        else:
+            binds = doc.get("response_binds_request", True)
+            if not isinstance(binds, bool):
+                raise ValueError("'response_binds_request' must be true or false")
+            convention = Convention(binds)
         if "events" not in doc:
             raise ValueError("log JSON has no 'events' list")
         lines = doc["events"]

@@ -82,10 +82,8 @@ class RpcSession(NamedTuple):
 
 
 class OrSession(NamedTuple):
-    a_pub: bytes
-    b_pub: bytes
-    t_a: Term
-    t_b: Term
+    t_a: Literal           # a principal's bytes are its literal's data
+    t_b: Literal
     key_a: bytes           # a's long-term key with the server
     key_b: bytes
     init_channel: Channel
@@ -93,7 +91,7 @@ class OrSession(NamedTuple):
     serv_channel: Channel
 
 
-def _principal_term(cs: CryptoState, pub: bytes) -> Term | None:
+def _principal_term(cs: CryptoState, pub: bytes) -> Literal | None:
     """Principals must be registered public literals."""
     t = cs.public_term(pub)
     return t if isinstance(t, Literal) else None
@@ -126,7 +124,7 @@ def setup_or(rt: Runtime, a_pub: bytes, b_pub: bytes) -> OrSession | None:
         return None
     n = rt.next_session()
     return OrSession(
-        a_pub, b_pub, t_a, t_b, key_a, key_b,
+        t_a, t_b, key_a, key_b,
         Channel(f"initiator{n}"), Channel(f"responder{n}"), Channel(f"keyserver{n}"),
     )
 
@@ -201,7 +199,7 @@ def or_initiator(rt: Runtime, ses: OrSession):
     if na is None:
         return
     t_na = cs.term_of(na)
-    msg1 = cs.w_pair(ses.a_pub, cs.w_pair(ses.b_pub, na))
+    msg1 = cs.w_pair(ses.t_a.data, cs.w_pair(ses.t_b.data, na))
     rt.role_write(ses.init_channel, msg1)
 
     ticket = yield from rt.channel_read(ses.init_channel)
@@ -209,7 +207,7 @@ def or_initiator(rt: Runtime, ses: OrSession):
     x_a, rest = cs.w_destruct(plain)
     x_b, rest2 = cs.w_destruct(rest)
     kab, x_na = cs.w_destruct(rest2)
-    if not (x_a == ses.a_pub and x_b == ses.b_pub and x_na == na):
+    if not (x_a == ses.t_a.data and x_b == ses.t_b.data and x_na == na):
         return
     t_kab = cs.term_of(kab)
     rt.assert_event(
@@ -227,7 +225,7 @@ def or_responder(rt: Runtime, ses: OrSession):
     # refuse sessions that name one principal on both sides
     if x_a == x_b:
         return
-    if not (x_a == ses.a_pub and x_b == ses.b_pub):
+    if not (x_a == ses.t_a.data and x_b == ses.t_b.data):
         return
     nb = cs.w_to_string(rt.rand.draw(DEFAULT_KEY_LEN))
     if nb is None:
@@ -261,7 +259,7 @@ def or_server(rt: Runtime, ses: OrSession):
     z_na, z_nb = cs.w_destruct(rest2)
     if z_a == z_b:
         return
-    if not (z_a == ses.a_pub and z_b == ses.b_pub):
+    if not (z_a == ses.t_a.data and z_b == ses.t_b.data):
         return
     kab = cs.w_fresh(HmacKey(SessionKey(ses.t_a, ses.t_b)), DEFAULT_KEY_LEN, rt.rand)
     if kab is None:
@@ -278,10 +276,10 @@ def or_server(rt: Runtime, ses: OrSession):
 
 
 def compromise_or(rt: Runtime, ses: OrSession, principal_pub: bytes) -> bytes | None:
-    if principal_pub == ses.a_pub:
+    if principal_pub == ses.t_a.data:
         rt.cs.log_event(Bad(ses.t_a))
         return ses.key_a
-    if principal_pub == ses.b_pub:
+    if principal_pub == ses.t_b.data:
         rt.cs.log_event(Bad(ses.t_b))
         return ses.key_b
     return None

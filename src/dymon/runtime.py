@@ -2,14 +2,12 @@
 
 Roles are generators.  A role that wants input yields the channel it is
 waiting on; the scheduler resumes it when the attacker has written
-something there.  The runtime owns the wake rule: only ``spawn`` and
-``att_write`` can make a role runnable, and each ends by running every
-runnable role, so between two of the runtime's calls no role is runnable.
-All scheduling is deterministic under the run seed; the only freedom is
-the order in which independently runnable roles advance, drawn from an
-RNG seeded the first time two or more roles are runnable at once.  The
-scheduler looks only at the live roles (spawned and not yet done), so a
-long run does not rescan every role it ever spawned.  ``_step`` alone
+something there.  The runtime owns the wake rule: ``spawn`` runs the new
+role, and ``att_write`` runs the live roles parked on the channel it
+wrote, so between two of the runtime's calls no role is runnable.  All
+scheduling is deterministic under the run seed; the order of the roles
+one write wakes is the run's only scheduling choice, drawn from an RNG
+seeded on the first write that wakes two or more.  ``_step`` alone
 decides how a role ends; it ends a role whose split or decryption fails,
 as if the role had returned: rejected input is no verdict.
 
@@ -132,7 +130,7 @@ class Runtime:
         task = RoleTask(f"{name}#{len(self.roles) + 1}", gen)
         self.roles.append(task)
         self._live.append(task)
-        self.drain()
+        self.drain([task])
         return task
 
     def channel_read(self, ch: Channel):
@@ -151,7 +149,8 @@ class Runtime:
         """Deliver a message and run the roles it wakes."""
         self._check_public(data, f"att_channel_write[{ch.name}]")
         ch.from_net.append(data)
-        self.drain()
+        self._live = [t for t in self._live if not t.done]
+        self.drain([t for t in self._live if t.waiting_on is ch])
 
     def att_read(self, ch: Channel) -> bytes:
         if not ch.to_net:
@@ -200,27 +199,17 @@ class Runtime:
 
     # -- scheduling -----------------------------------------------------------
 
-    def _runnable(self) -> list[RoleTask]:
-        live, ready = [], []
-        for t in self._live:
-            if not t.done:
-                live.append(t)
-                ch = t.waiting_on
-                if ch is None or ch.from_net:
-                    ready.append(t)
-        self._live = live
-        return ready
+    def drain(self, ready: list[RoleTask]):
+        """Step each role the last call woke once, in one seeded order.
 
-    def drain(self):
-        """Step every runnable role once, in one seeded order.
-
-        One pass leaves no role runnable: a step ends with the role done or
-        parked on an empty channel, a role only fills ``to_net``, and only
-        ``att_write`` fills ``from_net``, so no role can wake another.  The
-        scheduler's RNG is seeded at the first shuffle of two or more
-        roles; one ready role draws nothing.
+        ``spawn`` wakes the new role and ``att_write`` the live roles parked
+        on its channel, in spawn order; the order of two or more is the
+        run's only scheduling choice.  One pass leaves no role runnable: a
+        step ends with the role done or parked on an empty channel, a role
+        only fills ``to_net``, and only ``att_write`` fills ``from_net``, so
+        no role can wake another.  The scheduler's RNG is seeded at the
+        first shuffle of two or more roles; one ready role draws nothing.
         """
-        ready = self._runnable()
         if len(ready) > 1:
             if self._sched is None:
                 self._sched = random.Random(self._seed ^ 0x5EED)

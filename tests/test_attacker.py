@@ -376,10 +376,19 @@ def test_random_programs_never_crash_the_interpreter():
 
 def test_no_role_is_runnable_when_a_call_starts(monkeypatch):
     # roles run only inside the calls that wake them, so every interface
-    # entry, and the end of the run, finds no role runnable
+    # entry, and the end of the run, finds no role runnable; and the roles a
+    # call wakes are exactly those a full scan of the live roles finds
+    def runnable(rt):
+        # the reference scan: a live role that was never stepped, or whose
+        # channel holds data, can run
+        return [
+            t for t in rt.roles
+            if not t.done and (t.waiting_on is None or t.waiting_on.from_net)
+        ]
+
     def checked(impl):
         def entry(rt, *args):
-            assert rt._runnable() == []
+            assert runnable(rt) == []
             return impl(rt, *args)
         return entry
 
@@ -389,20 +398,22 @@ def test_no_role_is_runnable_when_a_call_starts(monkeypatch):
     finalize = Runtime.finalize
 
     def checked_finalize(rt):
-        assert rt.verdict is not None or rt._runnable() == []
+        assert rt.verdict is not None or runnable(rt) == []
         return finalize(rt)
 
     monkeypatch.setattr(Runtime, "finalize", checked_finalize)
     drain, step = Runtime.drain, Runtime._step
     stepped = []
 
-    def checked_drain(rt):
-        # one pass steps every ready role and leaves no role runnable
-        ready = rt._runnable()
+    def checked_drain(rt, ready):
+        # the woken roles are the scan's, in spawn order; one pass steps each
+        # of them and leaves no role runnable
+        names = [t.name for t in ready]
+        assert names == [t.name for t in runnable(rt)]
         stepped.clear()
-        drain(rt)
-        assert sorted(t.name for t in stepped) == sorted(t.name for t in ready)
-        assert rt._runnable() == []
+        drain(rt, ready)
+        assert sorted(t.name for t in stepped) == sorted(names)
+        assert runnable(rt) == []
 
     def recorded_step(rt, task):
         stepped.append(task)

@@ -379,6 +379,33 @@ def test_query_dump_convention_defaults_to_binding(tmp_path):
         assert _load_log(str(dump)).convention.response_binds_request is binds
 
 
+@pytest.mark.parametrize("protocol, script", [
+    ("rpc-correct", HONEST),
+    ("rpc-flawed", SPLICE),
+    ("otway-rees", str(ROOT / "attacks" / "or_honest.dsl")),
+], ids=["rpc-correct", "rpc-flawed", "otway-rees"])
+def test_query_judges_a_report_like_the_dump_of_its_run(protocol, script, tmp_path, capsys):
+    # a `run --json` report has no convention key; its protocol names one
+    dump, report = tmp_path / "dump.json", tmp_path / "report.json"
+    _, out, _ = run_cli(capsys, "run", protocol, script, "--dump", str(dump), "--json")
+    report.write_text(out)
+    from_dump, from_report = _load_log(str(dump)), _load_log(str(report))
+    for entry in json.loads(dump.read_text())["table"]:
+        t = parse_term(entry["term"])
+        for lv in (Level.LOW, Level.HIGH):
+            assert level(lv, t, from_report) == level(lv, t, from_dump), (lv, entry["term"])
+
+
+@pytest.mark.parametrize("protocol", ["telnet", 5, ["rpc-flawed"], None], ids=repr)
+def test_query_report_naming_an_unknown_protocol_exits_two(protocol, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"events": [], "protocol": protocol}))
+    code, out, err = run_cli(
+        capsys, "query", str(report), "--level", "low", "--term", "Literal(0x41)"
+    )
+    _assert_input_error(code, out, err, "query")
+
+
 def _assert_input_error(code, out, err, command):
     assert code == 2
     assert err.startswith(f"{command}: ") and err.count("\n") == 1

@@ -32,7 +32,7 @@ RECORDS = {
     Verdict: (("kind", "location", "detail"), {"location": None, "detail": None}),
     RpcSession: (("t_client", "t_server", "key", "client_channel", "server_channel"), {}),
     OrSession: ((
-        "a_pub", "b_pub", "t_a", "t_b", "key_a", "key_b",
+        "t_a", "t_b", "key_a", "key_b",
         "init_channel", "resp_channel", "serv_channel",
     ), {}),
     RunResult: ((

@@ -47,11 +47,9 @@ def test_channels_are_directional():
         rt.role_write(ch, got)
 
     rt.spawn("echo", echo())
-    rt.drain()
     # role is parked: its own pending writes never satisfy its read
     assert not ch.to_net
     rt.att_write(ch, data)
-    rt.drain()
     assert rt.att_read(ch) == b"ping"
 
 
@@ -127,8 +125,7 @@ def test_assert_event_suppressed_after_assumption_failure():
         rt.assert_event(False, "liar", "always fails")
         yield
 
-    rt.spawn("liar", liar())
-    rt.drain()  # no _StopRun: the failure suppresses the assertion
+    rt.spawn("liar", liar())  # no _StopRun: the failure suppresses the assertion
     v = rt.finalize()
     assert v.kind is VerdictKind.ASSUMPTION_FAILURE
     assert v.detail == "collision"
@@ -202,9 +199,8 @@ def test_table_audit_error_in_a_role_escapes_the_run():
         raise TableAuditError("broken invariant")
 
     rt.spawn("broken", broken())
-    ch.from_net.append(rt.cs.w_to_string(b"go"))
     with pytest.raises(TableAuditError):
-        rt.drain()
+        rt.att_write(ch, rt.cs.w_to_string(b"go"))
 
 
 def _parked(ch, order, name):
@@ -264,9 +260,7 @@ def test_finished_roles_leave_the_schedule_and_stay_counted():
     for ch in channels:
         rt.spawn("quick", quick())
         rt.spawn("wait", waiter(ch))
-    rt.drain()
     rt.att_write(channels[1], rt.cs.w_to_string(b"go"))
-    rt.drain()
     assert [t.name for t in rt.roles] == [
         "quick#1", "wait#2", "quick#3", "wait#4", "quick#5", "wait#6",
     ]
@@ -296,7 +290,6 @@ def _role_sends_secret(rt):
         yield
 
     rt.spawn("leaky", leaky())
-    rt.drain()
 
 
 def _role_fails_assertion(rt):
@@ -305,7 +298,6 @@ def _role_fails_assertion(rt):
         yield
 
     rt.spawn("liar", liar())
-    rt.drain()
 
 
 def _role_parks(rt):
