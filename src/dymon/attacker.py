@@ -33,7 +33,7 @@ from .backend import RandomSource
 from .errors import ContractViolationError, MalformedPairError, TableAuditError
 from .runtime import Runtime, Verdict, _StopRun
 from .state import CryptoState, initial_state
-from .terms import STANDARD, Convention, render_event
+from .terms import STANDARD, Convention, render_event, render_term
 from .dsl import AttackProgram, Signature, Step, ValueKind, parse_attack, validate_attack
 from . import protocols
 
@@ -168,17 +168,23 @@ class RunResult(NamedTuple):
     roles_spawned: int
 
     def to_report(self) -> dict:
+        """The run's one document, which `run --json` prints and `run --dump` writes."""
         return {
             "protocol": self.protocol,
             "seed": self.seed,
             "verdict": self.verdict.to_dict(),
             "exit_code": self.verdict.exit_code,
             "events": [render_event(e) for e in self.state.log],
-            "table_size": len(self.state.table),
+            "table": [
+                {"bytes": data.hex(), "term": render_term(t)}
+                for data, t in self.state.table.by_bytes.items()
+            ],
             "assertions_checked": self.assertions_checked,
             "suppressed_assertion_failures": self.suppressed,
             "assumption_failures": [
-                {"kind": f.kind.value, "bytes": f.data.hex(), "note": f.note}
+                {"kind": f.kind.value, "bytes": f.data.hex(), "note": f.note,
+                 "existing": None if f.existing is None else render_term(f.existing),
+                 "attempted": None if f.attempted is None else render_term(f.attempted)}
                 for f in self.state.failures
             ],
             "soundness_notes": list(self.state.soundness_notes),

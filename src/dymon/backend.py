@@ -55,14 +55,13 @@ def sdec(key: bytes, ciphertext: bytes) -> bytes:
 
 
 class RandomSource:
-    """Seeded, replayable byte source.  counter counts draws made.
+    """Seeded, replayable byte source.
 
     The generator is seeded on the first draw, not when the source is made.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
-        self.counter = 0
         self._rng: random.Random | None = None
 
     def draw(self, nbytes: int) -> bytes:
@@ -70,5 +69,4 @@ class RandomSource:
             raise ValueError("draw needs at least one byte")
         if self._rng is None:
             self._rng = random.Random(self.seed)
-        self.counter += 1
         return self._rng.randbytes(nbytes)

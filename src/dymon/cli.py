@@ -6,7 +6,8 @@ Three subcommands:
            verdict; the process exit code encodes the verdict
     fuzz   generate and run many attack programs, bucket the verdicts,
            and save decisive counterexamples
-    query  decide the level judgement for a term over a saved event log
+    query  decide the level judgement for a term over a saved run report
+           (`run --json` or `run --dump`) or plain event log
 
 Exit codes: 0 ok, 10 assertion failure, 11 assumption failure, 12
 deadlock, 13 contract violation, 2 usage or input errors.  ``fuzz`` exits
@@ -27,7 +28,7 @@ from .errors import AttackSyntaxError, TermSyntaxError
 from .fuzz import fuzz_attacks
 from .levels import Level, explain, level
 from .scripts import HONEST_DRIVERS
-from .terms import Convention, Log, parse_event, parse_term, render_term
+from .terms import Convention, Log, parse_event, parse_term
 
 
 def _non_negative(text: str) -> int:
@@ -54,8 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="use the built-in honest relay instead of a file")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--json", action="store_true", help="machine-readable report")
-    run.add_argument("--dump", metavar="PATH",
-                     help="write the final log and representation table as JSON")
+    run.add_argument("--dump", metavar="PATH", help="write the --json report to PATH")
 
     fz = sub.add_parser("fuzz", help="fuzz a protocol with generated programs")
     fz.add_argument("protocol", choices=PROTOCOLS)
@@ -67,7 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fz.add_argument("--json", action="store_true")
 
     q = sub.add_parser("query", help="decide a level judgement over a log")
-    q.add_argument("logfile", help="JSON dump from `run --dump`, or one rendered event per line")
+    q.add_argument("logfile", help="run report from `run --json` or `run --dump`, judged under"
+                   " its protocol's convention, or one rendered event per line")
     q.add_argument("--level", choices=("low", "high"), required=True)
     q.add_argument("--term", required=True, help="term in canonical rendering")
     q.add_argument("--explain", action="store_true",
@@ -77,25 +78,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_log(path: str) -> Log:
     text = Path(path).read_text(encoding="utf-8-sig")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)
         except RecursionError:
             raise ValueError("log JSON nested too deeply") from None
-        if "response_binds_request" not in doc and "protocol" in doc:
-            # a `run --json` report names its protocol, not its convention
-            _, _, convention = _lookup(doc["protocol"])
-        else:
-            binds = doc.get("response_binds_request", True)
-            if not isinstance(binds, bool):
-                raise ValueError("'response_binds_request' must be true or false")
-            convention = Convention(binds)
         if "events" not in doc:
             raise ValueError("log JSON has no 'events' list")
         lines = doc["events"]
         if not isinstance(lines, list) or not all(isinstance(ln, str) for ln in lines):
             raise ValueError("'events' must be a list of rendered events")
+        # a run report is judged under its protocol's convention, never a guessed one
+        _, _, convention = _lookup(doc.get("protocol"))
     else:
         convention = Convention()
         lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -123,36 +117,36 @@ def _cmd_run(args) -> int:
         print(f"run: {exc}", file=sys.stderr)
         return 2
 
+    # one document, so --dump, --json and the summary cannot disagree
+    report = result.to_report()
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.dump:
         try:
-            Path(args.dump).write_text(
-                json.dumps(result.state.dump(), indent=2, sort_keys=True) + "\n"
-            )
+            Path(args.dump).write_text(text)
         except OSError as exc:
             print(f"run: cannot write {args.dump}: {exc}", file=sys.stderr)
             return 2
     if args.json:
-        print(json.dumps(result.to_report(), indent=2, sort_keys=True))
+        print(text, end="")
     else:
-        v = result.verdict
-        print(f"verdict: {v.kind.value} (exit {v.exit_code})")
-        if v.location:
-            print(f"  at: {v.location}")
-        if v.detail:
-            print(f"  detail: {v.detail}")
-        print(f"events logged: {len(result.state.log)}")
+        v = report["verdict"]
+        print(f"verdict: {v['kind']} (exit {report['exit_code']})")
+        if v["location"]:
+            print(f"  at: {v['location']}")
+        if v["detail"]:
+            print(f"  detail: {v['detail']}")
+        print(f"events logged: {len(report['events'])}")
         print(
-            f"assertions checked: {result.assertions_checked}"
-            f" (suppressed failures: {result.suppressed})"
+            f"assertions checked: {report['assertions_checked']}"
+            f" (suppressed failures: {report['suppressed_assertion_failures']})"
         )
-        for f in result.state.failures:
-            named = (("existing", f.existing), ("attempted", f.attempted))
-            terms = "".join(f"; {what} {render_term(t)}" for what, t in named if t is not None)
-            line = f"assumption failure: {f.kind.value} on 0x{f.data.hex()} {f.note}".rstrip()
+        for f in report["assumption_failures"]:
+            terms = "".join(f"; {w} {f[w]}" for w in ("existing", "attempted") if f[w] is not None)
+            line = f"assumption failure: {f['kind']} on 0x{f['bytes']} {f['note']}".rstrip()
             print(line + terms)
-        for note in result.state.soundness_notes:
+        for note in report["soundness_notes"]:
             print(f"soundness note: {note}")
-    return result.verdict.exit_code
+    return report["exit_code"]
 
 
 def _cmd_fuzz(args) -> int:
@@ -165,7 +159,9 @@ def _cmd_fuzz(args) -> int:
         )
         if out:
             for cex in result.counterexamples:
-                (out / f"counterexample_{cex['iteration']}.dsl").write_text(cex["program"])
+                name = f"counterexample_{cex['iteration']}.dsl"
+                replay = f"# dymon run {result.protocol} {name} --seed {cex['seed']}\n"
+                (out / name).write_text(replay + cex["program"])
     except OSError as exc:
         print(f"fuzz: cannot write to {args.out_dir}: {exc}", file=sys.stderr)
         return 2

@@ -45,7 +45,6 @@ from .terms import (
     TAG_RESPONSE,
     Term,
     Usage,
-    render_event,
     render_term,
 )
 from .wire import pair_decode, pair_encode
@@ -357,18 +356,6 @@ class CryptoState:
                 raise TableAuditError(
                     f"registered term not High: {render_term(t)}"
                 )
-
-    # -- reporting --------------------------------------------------------
-
-    def dump(self) -> dict:
-        return {
-            "response_binds_request": self.log.convention.response_binds_request,
-            "events": [render_event(e) for e in self.log],
-            "table": [
-                {"bytes": data.hex(), "term": render_term(t)}
-                for data, t in self.table.by_bytes.items()
-            ],
-        }
 
 
 # one two-tag state per convention; initial_state copies it for every run

@@ -328,9 +328,6 @@ class Log:
             return NotImplemented
         return self._events.keys() == other._events.keys()
 
-    def __hash__(self):
-        return hash(frozenset(self._events))
-
     def __repr__(self) -> str:
         return f"<Log {len(self)} events>"
 

@@ -281,7 +281,7 @@ def test_runs_are_deterministic_in_seed():
     b = run_attack(RPC_HONEST, "rpc-correct", seed=4)
     assert a.verdict == b.verdict
     assert [e for e in a.state.log] == [e for e in b.state.log]
-    assert a.state.dump() == b.state.dump()
+    assert a.to_report() == b.to_report()
 
 
 def test_empty_string_conversion_poisons_downstream():

@@ -96,7 +96,6 @@ def test_senc_matches_pinned_ciphertexts(key, body, digest):
 def test_random_source_replayable():
     a, b = RandomSource(99), RandomSource(99)
     assert [a.draw(16) for _ in range(5)] == [b.draw(16) for _ in range(5)]
-    assert a.counter == 5
     assert RandomSource(1).draw(16) != RandomSource(2).draw(16)
 
 
@@ -105,7 +104,6 @@ def test_random_source_draws_what_a_seeded_random_draws():
         src, ref = RandomSource(seed), random.Random(seed)
         for n in (16, 1, 20, 5):
             assert src.draw(n) == ref.randbytes(n)
-        assert src.counter == 4
 
 
 def test_random_source_rejects_empty_draw():

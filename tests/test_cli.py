@@ -9,9 +9,7 @@ from pathlib import Path
 import pytest
 
 from dymon import (
-    OR_HONEST,
-    RPC_HONEST,
-    RPC_SPLICE,
+    PROTOCOLS,
     Level,
     VerdictKind,
     level,
@@ -155,18 +153,27 @@ def test_dump_and_query_round_trip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("protocol, script", [
-    ("rpc-correct", RPC_HONEST),
-    ("rpc-flawed", RPC_SPLICE),
-    ("otway-rees", OR_HONEST),
+    ("rpc-correct", HONEST),
+    ("rpc-flawed", SPLICE),
+    ("otway-rees", str(ROOT / "attacks" / "or_honest.dsl")),
 ], ids=["rpc-correct", "rpc-flawed", "otway-rees"])
-def test_dump_reads_back_to_the_same_levels(tmp_path, protocol, script):
-    state = run_attack(script, protocol, seed=3).state
-    dump = tmp_path / "log.json"
-    dump.write_text(json.dumps(state.dump()))
+def test_dump_reads_back_to_the_same_levels(protocol, script, tmp_path, capsys):
+    # `run --dump` writes the `--json` report, and `query` reads its log
+    # under the report's protocol's convention, as the run judged it
+    dump = tmp_path / "report.json"
+    _, out, _ = run_cli(
+        capsys, "run", protocol, script, "--seed", "3", "--dump", str(dump), "--json"
+    )
+    assert dump.read_bytes() == out.encode()
+    state = run_attack(Path(script).read_text(), protocol, seed=3).state
     loaded = _load_log(str(dump))
-    for t in state.table.by_term:
+    table = json.loads(out)["table"]
+    terms = state.table.by_bytes.values()
+    assert [entry["term"] for entry in table] == list(map(render_term, terms))
+    for entry in table:
+        t = parse_term(entry["term"])
         for lv in (Level.LOW, Level.HIGH):
-            assert level(lv, parse_term(render_term(t)), loaded) == level(lv, t, state.log)
+            assert level(lv, t, loaded) == level(lv, t, state.log), (lv, entry["term"])
 
 
 def test_dump_of_a_deep_term_parses_back(tmp_path, capsys):
@@ -329,6 +336,24 @@ def test_fuzz_json_and_exit_codes(tmp_path, capsys):
     parse_attack(saved[0].read_text())
 
 
+def test_saved_counterexamples_replay_from_their_first_line(tmp_path, capsys, monkeypatch):
+    # a saved program's verdict can depend on its run seed, so each file
+    # starts with the one command that replays it from the saving directory
+    code, out, _ = run_cli(
+        capsys, "fuzz", "rpc-flawed", "--count", "20", "--seed", "7", "--json",
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 10
+    saved = sorted(tmp_path.glob("counterexample_*.dsl"))
+    assert len(saved) == len(json.loads(out)["counterexamples"]) > 0
+    monkeypatch.chdir(tmp_path)
+    for cex in json.loads(out)["counterexamples"]:
+        name = f"counterexample_{cex['iteration']}.dsl"
+        first = Path(name).read_text().splitlines()[0]
+        assert first == f"# dymon run rpc-flawed {name} --seed {cex['seed']}"
+        assert run_cli(capsys, *shlex.split(first)[2:])[0] == 10, first
+
+
 def test_fuzz_human_output(capsys):
     code, out, _ = run_cli(capsys, "fuzz", "otway-rees", "--count", "15", "--seed", "1")
     assert code == 0
@@ -359,41 +384,21 @@ def test_query_malformed_dump_exits_two(tmp_path, capsys):
     assert err == "query: log JSON has no 'events' list\n"
 
 
-@pytest.mark.parametrize("flag", ["false", None, 0])
-def test_query_dump_convention_must_be_a_boolean(flag, tmp_path, capsys):
-    dump = tmp_path / "log.json"
-    dump.write_text(json.dumps({"events": [], "response_binds_request": flag}))
-    code, out, err = run_cli(
-        capsys, "query", str(dump), "--level", "low", "--term", "Literal(0x41)"
-    )
-    _assert_input_error(code, out, err, "query")
-
-
-def test_query_dump_convention_defaults_to_binding(tmp_path):
-    for doc, binds in (
-        ({"events": []}, True),
-        ({"events": [], "response_binds_request": False}, False),
-    ):
-        dump = tmp_path / "log.json"
-        dump.write_text(json.dumps(doc))
-        assert _load_log(str(dump)).convention.response_binds_request is binds
-
-
-@pytest.mark.parametrize("protocol, script", [
-    ("rpc-correct", HONEST),
-    ("rpc-flawed", SPLICE),
-    ("otway-rees", str(ROOT / "attacks" / "or_honest.dsl")),
-], ids=["rpc-correct", "rpc-flawed", "otway-rees"])
-def test_query_judges_a_report_like_the_dump_of_its_run(protocol, script, tmp_path, capsys):
-    # a `run --json` report has no convention key; its protocol names one
-    dump, report = tmp_path / "dump.json", tmp_path / "report.json"
-    _, out, _ = run_cli(capsys, "run", protocol, script, "--dump", str(dump), "--json")
-    report.write_text(out)
-    from_dump, from_report = _load_log(str(dump)), _load_log(str(report))
-    for entry in json.loads(dump.read_text())["table"]:
-        t = parse_term(entry["term"])
-        for lv in (Level.LOW, Level.HIGH):
-            assert level(lv, t, from_report) == level(lv, t, from_dump), (lv, entry["term"])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_query_json_log_takes_the_convention_of_its_protocol(protocol, tmp_path, capsys):
+    # a JSON log that names no protocol, such as the dump that `run --dump`
+    # wrote before it wrote the report, is not judged under a guessed
+    # convention, not even when it carries the run's own convention flag
+    binds = protocol != "rpc-flawed"
+    log = tmp_path / "log.json"
+    for doc in ({"events": []}, {"events": [], "response_binds_request": binds, "table": []}):
+        log.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "query", str(log), "--level", "low", "--term", "Literal(0x41)"
+        )
+        _assert_input_error(code, out, err, "query")
+    log.write_text(json.dumps({"events": [], "protocol": protocol}))
+    assert _load_log(str(log)).convention.response_binds_request is binds
 
 
 @pytest.mark.parametrize("protocol", ["telnet", 5, ["rpc-flawed"], None], ids=repr)
@@ -439,7 +444,7 @@ def test_query_log_with_a_byte_order_mark_loads(tmp_path, capsys):
     plain.write_bytes(b"\xef\xbb\xbfNew(Literal(0x6b),AttackerGuess)\n")
     dump = tmp_path / "bom.json"
     dump.write_bytes(b"\xef\xbb\xbf" + json.dumps(
-        {"events": ["New(Literal(0x6b),AttackerGuess)"], "response_binds_request": False}
+        {"events": ["New(Literal(0x6b),AttackerGuess)"], "protocol": "rpc-flawed"}
     ).encode())
     for logfile in (plain, dump):
         code, out, _ = run_cli(

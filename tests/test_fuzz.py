@@ -440,7 +440,7 @@ def test_run_reports_match_pinned_digest():
     assert runs == 1815
     assert kinds == {"ok", "deadlock", "assertion-failure", "assumption-failure"}
     assert h.hexdigest() == (
-        "d7cce2fcad5845570f8015cf5884dab2c258b493c0968f9a416589c3e63fffdb"
+        "0377d7e4ca5aebf546f579d0fcd543dd653df3865ed89bf57463a5b5171f764d"
     )
 
 
