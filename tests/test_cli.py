@@ -401,6 +401,45 @@ def test_query_json_log_takes_the_convention_of_its_protocol(protocol, tmp_path,
     assert _load_log(str(log)).convention.response_binds_request is binds
 
 
+def test_query_dump_convention_defaults_to_binding(tmp_path):
+    # only a plain-text event log, which has nowhere to name a protocol, is
+    # read under the binding convention; a JSON log takes its protocol's
+    for text in ("New(Literal(0x6b),AttackerGuess)\n", ""):
+        plain = tmp_path / "events.txt"
+        plain.write_text(text)
+        assert _load_log(str(plain)).convention.response_binds_request is True
+    log = tmp_path / "log.json"
+    log.write_text(json.dumps({"events": [], "protocol": "rpc-flawed"}))
+    assert _load_log(str(log)).convention.response_binds_request is False
+
+
+@pytest.mark.parametrize("protocol, script", [
+    ("rpc-correct", HONEST),
+    ("rpc-flawed", SPLICE),
+    ("otway-rees", str(ROOT / "attacks" / "or_honest.dsl")),
+], ids=["rpc-correct", "rpc-flawed", "otway-rees"])
+def test_query_judges_a_report_like_the_dump_of_its_run(protocol, script, tmp_path, capsys):
+    # the report a `run --json` prints equals the file a plain-text
+    # `run --dump` writes, and `query` answers each table term on it with
+    # the level the run's own log gives
+    report, dump = tmp_path / "report.json", tmp_path / "dump.json"
+    _, out, _ = run_cli(capsys, "run", protocol, script, "--json")
+    report.write_text(out)
+    _, text, _ = run_cli(capsys, "run", protocol, script, "--dump", str(dump))
+    assert "verdict: " in text
+    assert dump.read_text() == out
+    log = run_attack(Path(script).read_text(), protocol).state.log
+    for entry in json.loads(out)["table"]:
+        t = parse_term(entry["term"])
+        for lv in (Level.LOW, Level.HIGH):
+            code, answer, _ = run_cli(
+                capsys, "query", str(report), "--level", lv.value, "--term", entry["term"]
+            )
+            holds = level(lv, t, log)
+            assert code == (0 if holds else 1), (lv, entry["term"])
+            assert answer.endswith(f"= {str(holds).lower()}\n")
+
+
 @pytest.mark.parametrize("protocol", ["telnet", 5, ["rpc-flawed"], None], ids=repr)
 def test_query_report_naming_an_unknown_protocol_exits_two(protocol, tmp_path, capsys):
     report = tmp_path / "report.json"
