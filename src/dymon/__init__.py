@@ -36,9 +36,7 @@ from .levels import (
     can_hmac,
     can_senc,
     explain,
-    hmac_comp,
     level,
-    senc_comp,
     weak_secrecy_violations,
 )
 from .runtime import Channel, EXIT_CODES, Runtime, Verdict, VerdictKind

@@ -28,7 +28,7 @@ from .errors import AttackSyntaxError, TermSyntaxError
 from .fuzz import fuzz_attacks
 from .levels import Level, explain, level
 from .scripts import HONEST_DRIVERS
-from .terms import Convention, Log, parse_event, parse_term
+from .terms import Convention, Log, parse_event, parse_term, render_term
 
 
 def _non_negative(text: str) -> int:
@@ -89,7 +89,10 @@ def _load_log(path: str) -> Log:
         if not isinstance(lines, list) or not all(isinstance(ln, str) for ln in lines):
             raise ValueError("'events' must be a list of rendered events")
         # a run report is judged under its protocol's convention, never a guessed one
-        _, _, convention = _lookup(doc.get("protocol"))
+        if "protocol" not in doc:
+            raise ValueError("log JSON names no protocol; a dump from before --dump wrote the"
+                             " run report must be written again with `dymon run --dump`")
+        _, _, convention = _lookup(doc["protocol"])
     else:
         convention = Convention()
         lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -117,36 +120,39 @@ def _cmd_run(args) -> int:
         print(f"run: {exc}", file=sys.stderr)
         return 2
 
-    # one document, so --dump, --json and the summary cannot disagree
-    report = result.to_report()
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    # one document, so --dump and --json cannot disagree; it renders every
+    # event and table term, which a plain run does not print
+    if args.json or args.dump:
+        text = json.dumps(result.to_report(), indent=2, sort_keys=True) + "\n"
     if args.dump:
         try:
             Path(args.dump).write_text(text)
         except OSError as exc:
             print(f"run: cannot write {args.dump}: {exc}", file=sys.stderr)
             return 2
+    v, cs = result.verdict, result.state
     if args.json:
         print(text, end="")
     else:
-        v = report["verdict"]
-        print(f"verdict: {v['kind']} (exit {report['exit_code']})")
-        if v["location"]:
-            print(f"  at: {v['location']}")
-        if v["detail"]:
-            print(f"  detail: {v['detail']}")
-        print(f"events logged: {len(report['events'])}")
+        print(f"verdict: {v.kind.value} (exit {v.exit_code})")
+        if v.location:
+            print(f"  at: {v.location}")
+        if v.detail:
+            print(f"  detail: {v.detail}")
+        print(f"events logged: {len(cs.log)}")
         print(
-            f"assertions checked: {report['assertions_checked']}"
-            f" (suppressed failures: {report['suppressed_assertion_failures']})"
+            f"assertions checked: {result.assertions_checked}"
+            f" (suppressed failures: {result.suppressed})"
         )
-        for f in report["assumption_failures"]:
-            terms = "".join(f"; {w} {f[w]}" for w in ("existing", "attempted") if f[w] is not None)
-            line = f"assumption failure: {f['kind']} on 0x{f['bytes']} {f['note']}".rstrip()
-            print(line + terms)
-        for note in report["soundness_notes"]:
+        for f in cs.failures:
+            line = f"assumption failure: {f.kind.value} on 0x{f.data.hex()} {f.note}".rstrip()
+            for w, t in (("existing", f.existing), ("attempted", f.attempted)):
+                if t is not None:
+                    line += f"; {w} {render_term(t)}"
+            print(line)
+        for note in cs.soundness_notes:
             print(f"soundness note: {note}")
-    return report["exit_code"]
+    return v.exit_code
 
 
 def _cmd_fuzz(args) -> int:

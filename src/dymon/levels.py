@@ -173,12 +173,17 @@ def _comp(usage, log: Log) -> bool:
     return False
 
 
-def hmac_comp(k: Term, log: Log) -> bool:
-    return any(isinstance(u, HmacKey) and _comp(u.usage, log) for u in log.usages_of(k))
-
-
-def senc_comp(k: Term, log: Log) -> bool:
-    return any(isinstance(u, SEncKey) and _comp(u.usage, log) for u in log.usages_of(k))
+def unsanctioned(t: Hmac | SEnc, log: Log) -> bool:
+    """Does a MAC that verified, or a ciphertext that decrypted, break the
+    postcondition both share?  It does when the key has a usage of the
+    term's kind, the payload is not sayable under it, and no principal of
+    that usage is Bad."""
+    kind = HmacKey if isinstance(t, Hmac) else SEncKey
+    usages = [u.usage for u in log.usages_of(t.key) if isinstance(u, kind)]
+    if not usages:
+        return False
+    _, sayable, _ = _route(_LOW, t, log)
+    return not sayable and not any(_comp(u, log) for u in usages)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .runtime import Channel, Runtime
 from .state import CryptoState
 from .terms import (
     Bad,
+    Event,
     HmacKey,
     Initiator,
     Literal,
@@ -50,23 +51,12 @@ from .terms import (
 
 
 # ---------------------------------------------------------------------------
-# correspondence predicates (the exact conditions the roles assert)
+# the correspondence predicate (the exact condition every role asserts)
 
 
-def request_correspondence(log: Log, a: Term, b: Term, req: Term) -> bool:
-    return Request(a, b, req) in log or Bad(a) in log or Bad(b) in log
-
-
-def response_correspondence(log: Log, a: Term, b: Term, req: Term, resp: Term) -> bool:
-    return Response(a, b, req, resp) in log or Bad(a) in log or Bad(b) in log
-
-
-def initiator_assertion(log: Log, a: Term, na: Term, kab: Term, b: Term) -> bool:
-    return Initiator(a, na, kab, b) in log or Bad(a) in log or Bad(b) in log
-
-
-def responder_assertion(log: Log, b: Term, nb: Term, kab: Term, a: Term) -> bool:
-    return Responder(b, nb, kab, a) in log or Bad(a) in log or Bad(b) in log
+def corresponds(log: Log, event: Event, a: Term, b: Term) -> bool:
+    """Is the event the role claims logged, or is a or b Bad?"""
+    return event in log or Bad(a) in log or Bad(b) in log
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +143,9 @@ def rpc_client(rt: Runtime, ses: RpcSession, request: bytes):
     to_mac2 = cs.w_pair(TAG_RESPONSE, _response_payload(cs, request, resp))
     if not cs.w_hmacsha1_verify(ses.key, to_mac2, mac2):
         return
-    t_resp = cs.term_of(resp)
+    claim = Response(ses.t_client, ses.t_server, t_req, cs.term_of(resp))
     rt.assert_event(
-        response_correspondence(cs.log, ses.t_client, ses.t_server, t_req, t_resp),
+        corresponds(cs.log, claim, ses.t_client, ses.t_server),
         "rpc_client",
         "Response(client,server,req,resp) logged or a principal is Bad",
     )
@@ -168,8 +158,9 @@ def rpc_server(rt: Runtime, ses: RpcSession):
     if not cs.w_hmacsha1_verify(ses.key, cs.w_pair(TAG_REQUEST, req), mac1):
         return
     t_req = cs.term_of(req)
+    claim = Request(ses.t_client, ses.t_server, t_req)
     rt.assert_event(
-        request_correspondence(cs.log, ses.t_client, ses.t_server, t_req),
+        corresponds(cs.log, claim, ses.t_client, ses.t_server),
         "rpc_server",
         "Request(client,server,req) logged or a principal is Bad",
     )
@@ -209,9 +200,9 @@ def or_initiator(rt: Runtime, ses: OrSession):
     kab, x_na = cs.w_destruct(rest2)
     if not (x_a == ses.t_a.data and x_b == ses.t_b.data and x_na == na):
         return
-    t_kab = cs.term_of(kab)
+    claim = Initiator(ses.t_a, t_na, cs.term_of(kab), ses.t_b)
     rt.assert_event(
-        initiator_assertion(cs.log, ses.t_a, t_na, t_kab, ses.t_b),
+        corresponds(cs.log, claim, ses.t_a, ses.t_b),
         "or_initiator",
         "Initiator(a,Na,Kab,b) logged or a principal is Bad",
     )
@@ -242,9 +233,9 @@ def or_responder(rt: Runtime, ses: OrSession):
     kab, y_nb = cs.w_destruct(rest2)
     if not (y_a == x_a and y_b == x_b and y_nb == nb):
         return
-    t_kab = cs.term_of(kab)
+    claim = Responder(ses.t_b, t_nb, cs.term_of(kab), ses.t_a)
     rt.assert_event(
-        responder_assertion(cs.log, ses.t_b, t_nb, t_kab, ses.t_a),
+        corresponds(cs.log, claim, ses.t_a, ses.t_b),
         "or_responder",
         "Responder(b,Nb,Kab,a) logged or a principal is Bad",
     )

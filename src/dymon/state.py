@@ -27,19 +27,17 @@ from typing import Callable, NamedTuple, Optional
 
 from . import backend
 from .errors import ContractViolationError, TableAuditError
-from .levels import Level, can_hmac, can_senc, hmac_comp, level, senc_comp
+from .levels import Level, level, unsanctioned
 from .terms import (
     AttackerGuess,
     Convention,
     Event,
     Hmac,
-    HmacKey,
     Literal,
     Log,
     New,
     Pair,
     SEnc,
-    SEncKey,
     STANDARD,
     TAG_REQUEST,
     TAG_RESPONSE,
@@ -276,14 +274,19 @@ class CryptoState:
                     self.table.by_bytes.get(digest), expected,
                     note="verify succeeded without a sanctioned derivation",
                 )
-            if any(isinstance(u, HmacKey) for u in self.log.usages_of(tk)):
-                if not (can_hmac(tk, tm, self.log) or hmac_comp(tk, self.log)):
-                    self.soundness_notes.append(
-                        "mac verified but payload neither sayable nor key "
-                        f"compromised: {render_term(Hmac(tk, tm))}"
-                    )
+            self._note_unsanctioned(expected)
         self._post_op()
         return ok
+
+    def _note_unsanctioned(self, t: Hmac | SEnc):
+        """Note a MAC verify or decryption of t that passed, although t's
+        payload is not sayable under its key's usage and no owner is Bad."""
+        if unsanctioned(t, self.log):
+            what = (
+                "mac verified but payload neither sayable" if isinstance(t, Hmac)
+                else "decryption succeeded but ticket neither well-formed"
+            )
+            self.soundness_notes.append(f"{what} nor key compromised: {render_term(t)}")
 
     def w_senc(self, key: bytes, plaintext: bytes) -> bytes:
         return self._keyed(
@@ -297,12 +300,7 @@ class CryptoState:
         plain = backend.sdec(key, ciphertext)
         if isinstance(tc, SEnc) and tc.key == tk:
             self._register(plain, tc.body)
-            if any(isinstance(u, SEncKey) for u in self.log.usages_of(tk)):
-                if not (can_senc(tk, tc.body, self.log) or senc_comp(tk, self.log)):
-                    self.soundness_notes.append(
-                        "decryption succeeded but ticket neither well-formed "
-                        f"nor key compromised: {render_term(tc)}"
-                    )
+            self._note_unsanctioned(tc)
         else:
             # the tag verified under this key but the symbolic term was
             # built some other way: an injectivity break we can name

@@ -9,8 +9,9 @@ engine beyond the term constructors.  Agreement between the two is a
 strong check that the recursion implements the inductive system.
 
 Also exports random generators for logs and term universes used by the
-equivalence and theorem-suite tests, and a straight-line attack program that
-builds a MAC chain of any depth.
+equivalence and theorem-suite tests, the soundness check and the three
+primitive sets that the pinned run-report tests share, and a straight-line
+attack program that builds a MAC chain of any depth.
 
 Run as a script, ``python tests/oracles.py N`` prints that program for a chain
 N deep.
@@ -42,7 +43,10 @@ from dymon import (
     SessionKey,
     TAG_REQUEST,
     TAG_RESPONSE,
+    VerdictKind,
+    level,
     render_term,
+    weak_secrecy_violations,
 )
 
 LOW, HIGH = Level.LOW, Level.HIGH
@@ -296,6 +300,43 @@ def random_extension(rng: random.Random, log: Log) -> Log:
     if len(names) >= 2 and rng.random() < 0.5:
         out = out.add(Request(names[0], names[1], extra))
     return out
+
+
+# ---------------------------------------------------------------------------
+# soundness of a run
+
+
+class RepeatingSource:
+    """Random source that repeats itself: every second fresh draw collides."""
+
+    def draw(self, nbytes):
+        return b"\x42" * nbytes
+
+
+# run_attack keywords for the three primitive sets every soundness run is
+# made under: the default primitives, a 1-byte MAC and a repeating source
+PRIMITIVES = ({}, {"mac_fn": lambda k, m: b"\x00"}, {"rand": RepeatingSource()})
+
+
+def check_sound(protocol, result, oracle):
+    # broken crypto may cost a correct variant its verdict, never earn it
+    # an attack: a decisive failure there is unsound, and so is an
+    # assumption failure without a record or a Low key nobody leaked
+    state, verdict = result.state, result.verdict
+    if protocol != "rpc-flawed":
+        assert verdict.kind not in (
+            VerdictKind.ASSERTION_FAILURE, VerdictKind.CONTRACT_VIOLATION,
+        )
+    if verdict.kind is VerdictKind.ASSUMPTION_FAILURE:
+        assert state.failures
+        assert verdict.detail == state.failures[0].kind.value
+    assert weak_secrecy_violations(state.log) == []
+    if oracle:
+        terms = state.table.by_term
+        truth = saturate(terms, state.log)
+        for t in terms:
+            for lv in (LOW, HIGH):
+                assert level(lv, t, state.log) == ((lv, t) in truth)
 
 
 # ---------------------------------------------------------------------------

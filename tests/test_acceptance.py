@@ -344,9 +344,11 @@ def test_criterion_09_key_exchange_honest_compromise_and_refusal():
     # predicate-level degradation
     n, k = Literal(b"n"), Literal(b"k")
     assert Responder(Literal(b"Bob"), n, k, alice) not in compromised.state.log
-    from dymon.protocols import responder_assertion
+    from dymon.protocols import corresponds
 
-    assert responder_assertion(compromised.state.log, Literal(b"Bob"), n, k, alice)
+    assert corresponds(
+        compromised.state.log, Responder(Literal(b"Bob"), n, k, alice), alice, Literal(b"Bob"),
+    )
 
     # a first message naming one principal twice is refused outright
     refusal = run_attack(

@@ -9,9 +9,13 @@ from pathlib import Path
 import pytest
 
 from dymon import (
+    CORPUS,
     PROTOCOLS,
     Level,
+    RunResult,
     VerdictKind,
+    format_attack,
+    interface_for,
     level,
     parse_term,
     render_term,
@@ -19,7 +23,9 @@ from dymon import (
 )
 from dymon import cli
 from dymon.cli import _load_log, main
-from oracles import hmac_chain_program
+from dymon.dsl import program_of
+from mutants import mutant
+from oracles import PRIMITIVES, hmac_chain_program
 
 ROOT = Path(__file__).resolve().parent.parent
 SPLICE = str(ROOT / "attacks" / "rpcattack_1.dsl")
@@ -106,6 +112,59 @@ def test_run_assumption_failure_names_both_terms(capsys, monkeypatch):
     ).groups()
     assert existing.startswith("Hmac(") and attempted.startswith("Hmac(")
     assert parse_term(existing) != parse_term(attempted)
+
+
+def _summary_of(report):
+    """The plain `run` summary, rendered from the run's report."""
+    v = report["verdict"]
+    lines = [f"verdict: {v['kind']} (exit {report['exit_code']})"]
+    if v["location"]:
+        lines.append(f"  at: {v['location']}")
+    if v["detail"]:
+        lines.append(f"  detail: {v['detail']}")
+    lines.append(f"events logged: {len(report['events'])}")
+    lines.append(
+        f"assertions checked: {report['assertions_checked']}"
+        f" (suppressed failures: {report['suppressed_assertion_failures']})"
+    )
+    for f in report["assumption_failures"]:
+        terms = "".join(f"; {w} {f[w]}" for w in ("existing", "attempted") if f[w] is not None)
+        line = f"assumption failure: {f['kind']} on 0x{f['bytes']} {f['note']}".rstrip()
+        lines.append(line + terms)
+    lines += [f"soundness note: {note}" for note in report["soundness_notes"]]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_plain_run_prints_what_the_report_says_without_building_it(tmp_path, capsys, monkeypatch):
+    # a plain run reads its summary off the run, not off the report, which
+    # renders every event and table term; the summary must still say what a
+    # rendering of the report says, for every kind of line it can print
+    to_report = RunResult.to_report
+
+    def unwanted(self):
+        raise AssertionError("a plain run built the report")
+
+    monkeypatch.setattr(RunResult, "to_report", unwanted)
+    script = tmp_path / "program.dsl"
+    printed = set()
+    for protocol in PROTOCOLS:
+        iface = interface_for(protocol)
+        programs = list(CORPUS[protocol])
+        programs += [format_attack(program_of(mutant(protocol, i, 24), iface)) for i in range(12)]
+        for i, program in enumerate(programs):
+            script.write_text(program)
+            for kw in PRIMITIVES:
+                runs = []
+                monkeypatch.setattr(
+                    cli, "run_attack",
+                    lambda *a, **k: runs.append(run_attack(*a, **k, **kw)) or runs[-1],
+                )
+                code, out, _ = run_cli(capsys, "run", protocol, str(script), "--seed", str(i))
+                (result,) = runs
+                assert out == _summary_of(to_report(result))
+                assert code == result.verdict.exit_code
+                printed |= {line.split(":")[0] for line in out.splitlines()}
+    assert printed >= {"  at", "  detail", "assumption failure", "soundness note"}
 
 
 def test_run_needs_script_or_honest_flag(capsys):
@@ -397,6 +456,9 @@ def test_query_json_log_takes_the_convention_of_its_protocol(protocol, tmp_path,
             capsys, "query", str(log), "--level", "low", "--term", "Literal(0x41)"
         )
         _assert_input_error(code, out, err, "query")
+        # the one line names the missing key and says how to mend the log
+        assert err.startswith("query: log JSON names no protocol;")
+        assert "`dymon run --dump`" in err
     log.write_text(json.dumps({"events": [], "protocol": protocol}))
     assert _load_log(str(log)).convention.response_binds_request is binds
 
@@ -448,6 +510,7 @@ def test_query_report_naming_an_unknown_protocol_exits_two(protocol, tmp_path, c
         capsys, "query", str(report), "--level", "low", "--term", "Literal(0x41)"
     )
     _assert_input_error(code, out, err, "query")
+    assert err.startswith("query: unknown protocol ")
 
 
 def _assert_input_error(code, out, err, command):

@@ -22,15 +22,13 @@ from dymon import (
     fuzz_attacks,
     generate_program,
     interface_for,
-    level,
     parse_attack,
     run_attack,
     validate_attack,
-    weak_secrecy_violations,
 )
 from dymon.dsl import AssignString, Call, Decl, ValueKind, program_of
 from dymon.scripts import CORPUS, HONEST_DRIVERS
-from oracles import HIGH, LOW, saturate
+from oracles import PRIMITIVES, check_sound
 
 fuzz = importlib.import_module("dymon.fuzz")
 
@@ -388,34 +386,6 @@ def test_fuzz_reports_do_not_depend_on_earlier_calls():
     assert alone[2]["histogram"] == PINNED_HISTOGRAM
 
 
-class _RepeatingSource:
-    """Random source that repeats itself: every second fresh draw collides."""
-
-    def draw(self, nbytes):
-        return b"\x42" * nbytes
-
-
-def _check_sound(protocol, result, oracle):
-    # broken crypto may cost a correct variant its verdict, never earn it
-    # an attack: a decisive failure there is unsound, and so is an
-    # assumption failure without a record or a Low key nobody leaked
-    state, verdict = result.state, result.verdict
-    if protocol != "rpc-flawed":
-        assert verdict.kind not in (
-            VerdictKind.ASSERTION_FAILURE, VerdictKind.CONTRACT_VIOLATION,
-        )
-    if verdict.kind is VerdictKind.ASSUMPTION_FAILURE:
-        assert state.failures
-        assert verdict.detail == state.failures[0].kind.value
-    assert weak_secrecy_violations(state.log) == []
-    if oracle:
-        terms = state.table.by_term
-        truth = saturate(terms, state.log)
-        for t in terms:
-            for lv in (LOW, HIGH):
-                assert level(lv, t, state.log) == ((lv, t) in truth)
-
-
 def test_run_reports_match_pinned_digest():
     # every corpus program plus 200 generated ones per protocol, each run
     # with the default primitives, a 1-byte MAC and a repeating random
@@ -430,12 +400,12 @@ def test_run_reports_match_pinned_digest():
         programs = list(CORPUS[protocol])
         programs += [generate_program(rng, protocol, 32) for _ in range(200)]
         for i, program in enumerate(programs):
-            for kw in ({}, {"mac_fn": lambda k, m: b"\x00"}, {"rand": _RepeatingSource()}):
+            for kw in PRIMITIVES:
                 result = run_attack(program, protocol, seed=i, **kw)
                 r = result.to_report()
                 kinds.add(r["verdict"]["kind"])
                 h.update(json.dumps(r, sort_keys=True).encode())
-                _check_sound(protocol, result, oracle=runs % 10 == 0)
+                check_sound(protocol, result, oracle=runs % 10 == 0)
                 runs += 1
     assert runs == 1815
     assert kinds == {"ok", "deadlock", "assertion-failure", "assumption-failure"}

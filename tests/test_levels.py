@@ -37,9 +37,7 @@ from dymon import (
     can_hmac,
     can_senc,
     explain,
-    hmac_comp,
     level,
-    senc_comp,
     weak_secrecy_violations,
 )
 from dymon import levels
@@ -237,13 +235,59 @@ def test_senc_keeps_high_body_unreadable():
 
 
 def test_comp_predicates():
+    # a MAC or ciphertext that nobody may make is unsanctioned until an
+    # owner of its key's usage of that kind is Bad
     log = base_log()
-    assert not hmac_comp(K, log)
-    assert hmac_comp(K, log.add(Bad(A)))
+    mac = Hmac(K, Pair(TAG1, REQ))
+    assert levels.unsanctioned(mac, log)
+    assert not levels.unsanctioned(mac, log.add(Bad(A)))
+    assert levels.unsanctioned(mac, log.add(Bad(C)))
+    assert not levels.unsanctioned(mac, log.add(Request(A, B, REQ)))
     ek = Literal(b"ek")
     log2 = log.add(New(ek, SEncKey(PrincipalKey(C))))
-    assert not senc_comp(ek, log2)
-    assert senc_comp(ek, log2.add(Bad(C)))
+    enc = SEnc(ek, REQ)
+    assert levels.unsanctioned(enc, log2)
+    assert not levels.unsanctioned(enc, log2.add(Bad(C)))
+    assert levels.unsanctioned(enc, log2.add(Bad(A)))
+    # a key with only the other kind of usage sanctions nothing and breaks
+    # nothing: the note is about a key of the term's own kind
+    assert not levels.unsanctioned(SEnc(K, REQ), log)
+    assert not levels.unsanctioned(Hmac(ek, Pair(TAG1, REQ)), log2)
+
+
+# the parent's note conditions: hmac_comp and senc_comp, and the test that
+# w_hmacsha1_verify and w_sdec each made before noting a passed check
+
+
+def _hmac_comp(k, log):
+    return any(isinstance(u, HmacKey) and levels._comp(u.usage, log) for u in log.usages_of(k))
+
+
+def _senc_comp(k, log):
+    return any(isinstance(u, SEncKey) and levels._comp(u.usage, log) for u in log.usages_of(k))
+
+
+def _noted(t, log):
+    if isinstance(t, Hmac):
+        return any(isinstance(u, HmacKey) for u in log.usages_of(t.key)) and not (
+            can_hmac(t.key, t.msg, log) or _hmac_comp(t.key, log)
+        )
+    return any(isinstance(u, SEncKey) for u in log.usages_of(t.key)) and not (
+        can_senc(t.key, t.body, log) or _senc_comp(t.key, log)
+    )
+
+
+def test_unsanctioned_agrees_with_the_two_note_conditions():
+    rng = random.Random(28)
+    answers = Counter()
+    for _ in range(300):
+        log, universe = random_instance(rng)
+        for t in universe:
+            if isinstance(t, (Hmac, SEnc)):
+                assert levels.unsanctioned(t, log) == _noted(t, log), t
+                answers[type(t), _noted(t, log)] += 1
+    # each kind gives both answers, so the comparison is not vacuous
+    assert len(answers) == 4, answers
 
 
 # -- sweeps and debugging ------------------------------------------------------

@@ -20,10 +20,10 @@ _PUBLIC = {
     "Signature", "TAG_REQUEST", "TAG_RESPONSE", "TableAuditError", "Term",
     "TermSyntaxError", "Usage", "ValueKind", "Verdict", "VerdictKind", "can_hmac",
     "can_senc", "explain", "format_attack", "fuzz_attacks", "generate_program",
-    "hmac_comp", "hmac_sha1", "initial_state", "interface_for", "level",
+    "hmac_sha1", "initial_state", "interface_for", "level",
     "pair_decode", "pair_encode", "parse_attack", "parse_event", "parse_term",
     "render_event", "render_term", "render_usage", "run_attack", "sdec", "senc",
-    "senc_comp", "validate_attack", "weak_secrecy_violations",
+    "validate_attack", "weak_secrecy_violations",
 }
 
 

@@ -1,5 +1,9 @@
 """Protocol role behavior, observed through whole attack runs."""
 
+import random
+from collections import Counter
+from itertools import product
+
 import pytest
 
 from dymon import (
@@ -11,50 +15,127 @@ from dymon import (
     RPC_SPLICE,
     Request,
     Response,
+    SessionKey,
     Verdict,
     VerdictKind,
     level,
+    render_term,
     run_attack,
 )
-from dymon.protocols import (
-    initiator_assertion,
-    request_correspondence,
-    responder_assertion,
-    response_correspondence,
-)
+from dymon.protocols import corresponds
 from dymon.terms import Initiator, Log, New, Responder, AttackerGuess
+from oracles import random_instance
 
-A, B = Literal(b"A"), Literal(b"B")
+A, B, C = Literal(b"A"), Literal(b"B"), Literal(b"C")
 REQ, RESP = Literal(b"q"), Literal(b"r")
 
 
-# -- correspondence predicates -------------------------------------------------
+# -- correspondence predicate ---------------------------------------------------
 
 
 def test_request_correspondence_event_or_compromise():
     log = Log.empty()
-    assert not request_correspondence(log, A, B, REQ)
-    assert request_correspondence(log.add(Request(A, B, REQ)), A, B, REQ)
-    assert request_correspondence(log.add(Bad(A)), A, B, REQ)
-    assert request_correspondence(log.add(Bad(B)), A, B, REQ)
+    claim = Request(A, B, REQ)
+    assert not corresponds(log, claim, A, B)
+    assert corresponds(log.add(claim), claim, A, B)
+    assert corresponds(log.add(Bad(A)), claim, A, B)
+    assert corresponds(log.add(Bad(B)), claim, A, B)
+    assert not corresponds(log.add(Bad(C)), claim, A, B)
 
 
 def test_response_correspondence_event_or_compromise():
     log = Log.empty()
-    assert not response_correspondence(log, A, B, REQ, RESP)
-    assert response_correspondence(log.add(Response(A, B, REQ, RESP)), A, B, REQ, RESP)
-    assert response_correspondence(log.add(Bad(B)), A, B, REQ, RESP)
+    claim = Response(A, B, REQ, RESP)
+    assert not corresponds(log, claim, A, B)
+    assert corresponds(log.add(claim), claim, A, B)
+    assert corresponds(log.add(Bad(B)), claim, A, B)
+    assert not corresponds(log.add(Bad(C)), claim, A, B)
 
 
 def test_key_exchange_assertions_event_or_compromise():
     log = Log.empty()
     n, k = Literal(b"n"), Literal(b"k")
-    assert not initiator_assertion(log, A, n, k, B)
-    assert initiator_assertion(log.add(Initiator(A, n, k, B)), A, n, k, B)
-    assert initiator_assertion(log.add(Bad(B)), A, n, k, B)
-    assert not responder_assertion(log, B, n, k, A)
-    assert responder_assertion(log.add(Responder(B, n, k, A)), B, n, k, A)
-    assert responder_assertion(log.add(Bad(A)), B, n, k, A)
+    claim = Initiator(A, n, k, B)
+    assert not corresponds(log, claim, A, B)
+    assert corresponds(log.add(claim), claim, A, B)
+    assert corresponds(log.add(Bad(B)), claim, A, B)
+    assert not corresponds(log.add(Bad(C)), claim, A, B)
+    claim = Responder(B, n, k, A)
+    assert not corresponds(log, claim, A, B)
+    assert corresponds(log.add(claim), claim, A, B)
+    assert corresponds(log.add(Bad(A)), claim, A, B)
+    assert not corresponds(log.add(Bad(C)), claim, A, B)
+
+
+# the parent's four predicates, one per role, kept as the reference that
+# the one predicate must agree with when each role passes its claim
+
+
+def _request_correspondence(log, a, b, req):
+    return Request(a, b, req) in log or Bad(a) in log or Bad(b) in log
+
+
+def _response_correspondence(log, a, b, req, resp):
+    return Response(a, b, req, resp) in log or Bad(a) in log or Bad(b) in log
+
+
+def _initiator_assertion(log, a, na, kab, b):
+    return Initiator(a, na, kab, b) in log or Bad(a) in log or Bad(b) in log
+
+
+def _responder_assertion(log, b, nb, kab, a):
+    return Responder(b, nb, kab, a) in log or Bad(a) in log or Bad(b) in log
+
+
+def test_corresponds_agrees_with_the_four_role_predicates():
+    # the data of every event an instance logs, and of the same shapes over
+    # its payloads, with every ordered pair of its principals in the roles
+    rng = random.Random(28)
+    answers = Counter()
+    for _ in range(300):
+        log, universe = random_instance(rng)
+        keys = {e.term: e.usage.usage for e in log
+                if isinstance(e, New) and not isinstance(e.usage, AttackerGuess)}
+        # every field of a key usage node is a principal
+        principals = sorted({p for u in keys.values() for p in u[1:]}, key=render_term)
+        payloads = sorted(
+            {t for t in universe if isinstance(t, Literal)} - set(principals) - set(keys),
+            key=render_term,
+        )
+        requests = {(x,) for x in payloads}
+        responses = set(product(payloads, repeat=2))
+        session_keys = [k for k, u in keys.items() if isinstance(u, SessionKey)]
+        sessions = set(product(payloads, sorted(session_keys, key=render_term)))
+        for e in log:
+            if isinstance(e, Request):
+                requests.add((e.req,))
+            elif isinstance(e, Response):
+                responses.add((e.req, e.resp))
+            elif isinstance(e, (Initiator, Responder)):
+                sessions.add((e.nonce, e.key))
+        for a, b in product(principals, repeat=2):
+            pairs = [
+                (corresponds(log, Request(a, b, req), a, b),
+                 _request_correspondence(log, a, b, req))
+                for req, in requests
+            ] + [
+                (corresponds(log, Response(a, b, req, resp), a, b),
+                 _response_correspondence(log, a, b, req, resp))
+                for req, resp in responses
+            ] + [
+                (corresponds(log, Initiator(a, n, k, b), a, b),
+                 _initiator_assertion(log, a, n, k, b))
+                for n, k in sessions
+            ] + [
+                (corresponds(log, Responder(b, n, k, a), a, b),
+                 _responder_assertion(log, b, n, k, a))
+                for n, k in sessions
+            ]
+            for new, old in pairs:
+                assert new == old
+                answers[new] += 1
+    # both answers occur, so the comparison is not vacuous
+    assert answers[True] and answers[False]
 
 
 # -- RPC end to end -------------------------------------------------------------
