@@ -45,7 +45,6 @@ from .state import (
     AssumptionFailure,
     AssumptionKind,
     CryptoState,
-    RepresentationTable,
     initial_state,
 )
 from .terms import (

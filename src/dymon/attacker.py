@@ -177,7 +177,7 @@ class RunResult(NamedTuple):
             "events": [render_event(e) for e in self.state.log],
             "table": [
                 {"bytes": data.hex(), "term": render_term(t)}
-                for data, t in self.state.table.by_bytes.items()
+                for data, t in self.state.table.items()
             ],
             "assertions_checked": self.assertions_checked,
             "suppressed_assertion_failures": self.suppressed,
@@ -201,9 +201,11 @@ def run_attack(
 ) -> RunResult:
     """Execute an attack program against a protocol and judge the run."""
     interface = interface_for(protocol)
-    if isinstance(program, str):
-        program = parse_attack(program)
-    return _run(validate_attack(program, interface), protocol, seed, rand, mac_fn)
+    # a program parsed here is a temporary, freed before the steps run
+    parsed = parse_attack(program) if isinstance(program, str) else program
+    steps = validate_attack(parsed, interface)
+    del parsed
+    return _run(steps, protocol, seed, rand, mac_fn)
 
 
 def _run(steps: Iterable[Step], protocol: str, seed: int, rand, mac_fn) -> RunResult:

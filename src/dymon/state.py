@@ -68,27 +68,13 @@ class AssumptionFailure(NamedTuple):
     note: str = ""
 
 
-class RepresentationTable:
-    """Bijection between concrete byte strings and symbolic terms."""
-
-    __slots__ = ("by_bytes", "by_term")
-
-    def __init__(self, by_bytes=(), by_term=()):
-        # copies of the given entries; empty by default
-        self.by_bytes: dict[bytes, Term] = dict(by_bytes)
-        self.by_term: dict[Term, bytes] = dict(by_term)
-
-    def __len__(self) -> int:
-        return len(self.by_bytes)
-
-
 class CryptoState:
     """Log + table + sticky assumption failures, with the wrapper surface.
 
     The only caller of ``level`` during a run.  The audit always runs, also
     after an assumption failure: after every wrapper call it checks that
-    nothing shrank, that the log is good, that both table sides have the
-    same size, and that the entries added since the last audit are
+    nothing shrank, that the log is good, that the table and its inverse
+    have the same size, and that the entries added since the last audit are
     bijective, transparent and High; ``rescan`` repeats the entry checks
     over the whole table once a run ends.  Older entries need no re-check
     between calls because High is monotone in the log.  Registration-time
@@ -101,12 +87,13 @@ class CryptoState:
         mac_fn: Optional[Callable[[bytes, bytes], bytes]] = None,
         *,
         log: Optional[Log] = None,
-        table: Optional[RepresentationTable] = None,
     ):
         # a given log carries its own convention; initial_state passes a
-        # log over the template's and a copy of its table
+        # log over the template's
         self.log = Log.empty(convention) if log is None else log
-        self.table = RepresentationTable() if table is None else table
+        # the representation table, bytes -> term, and its inverse
+        self.table: dict[bytes, Term] = {}
+        self.by_term: dict[Term, bytes] = {}
         self.mac_fn = mac_fn or backend.hmac_sha1
         self.failures: list[AssumptionFailure] = []
         self.soundness_notes: list[str] = []
@@ -124,15 +111,15 @@ class CryptoState:
         self.failures.append(AssumptionFailure(kind, data, existing, attempted, note))
 
     def term_of(self, data: bytes) -> Optional[Term]:
-        return self.table.by_bytes.get(data)
+        return self.table.get(data)
 
     def public_term(self, data: bytes) -> Optional[Term]:
         """The term registered for data if it is Low, else None."""
-        t = self.table.by_bytes.get(data)
+        t = self.table.get(data)
         return t if t is not None and level(_LOW, t, self.log) else None
 
     def _require_registered(self, data: bytes, location: str) -> Term:
-        t = self.table.by_bytes.get(data)
+        t = self.table.get(data)
         if t is None:
             raise ContractViolationError(location, "unregistered bytes")
         return t
@@ -148,11 +135,11 @@ class CryptoState:
             )
         if isinstance(t, Literal) and t.data != data:
             raise TableAuditError("literal registered with foreign bytes")
-        existing_t = self.table.by_bytes.get(data)
+        existing_t = self.table.get(data)
         if existing_t is not None and existing_t != t:
             self._record_failure(AssumptionKind.COLLISION, data, existing_t, t)
             return
-        existing_b = self.table.by_term.get(t)
+        existing_b = self.by_term.get(t)
         if existing_b is not None and existing_b != data:
             self._record_failure(
                 AssumptionKind.COLLISION, data, t, t,
@@ -160,9 +147,15 @@ class CryptoState:
             )
             return
         if existing_t is None:
-            self.table.by_bytes[data] = t
+            self.table[data] = t
         if existing_b is None:
-            self.table.by_term[t] = data
+            self.by_term[t] = data
+
+    def _make_literal(self, data: bytes, usage: Usage):
+        """Make Literal(data): log its New event under usage and register it."""
+        lit = Literal(data)
+        self._log_add(New(lit, usage))
+        self._register(data, lit)
 
     def _adopt_public(self, raw: bytes) -> bool:
         """Bind unknown bytes as a fresh attacker-guess literal.
@@ -171,11 +164,9 @@ class CryptoState:
         records a LuckyGuess when they are registered but not Low (the
         attacker produced secret bytes out of thin air).
         """
-        t = self.table.by_bytes.get(raw)
+        t = self.table.get(raw)
         if t is None:
-            lit = Literal(raw)
-            self._log_add(New(lit, _GUESS))
-            self._register(raw, lit)
+            self._make_literal(raw, _GUESS)
             return True
         if level(_LOW, t, self.log):
             return True
@@ -197,7 +188,7 @@ class CryptoState:
         if isinstance(usage, AttackerGuess):
             raise ContractViolationError("fresh", "attacker-guess usage")
         data = src.draw(nbytes)
-        clash = self.table.by_bytes.get(data)
+        clash = self.table.get(data)
         if clash is not None:
             self._record_failure(
                 AssumptionKind.COLLISION, data, clash, Literal(data),
@@ -205,9 +196,7 @@ class CryptoState:
             )
             self._post_op()
             return None
-        lit = Literal(data)
-        self._log_add(New(lit, usage))
-        self._register(data, lit)
+        self._make_literal(data, usage)
         self._post_op()
         return data
 
@@ -271,7 +260,7 @@ class CryptoState:
                 # produced, so the presented bytes collide with it
                 self._record_failure(
                     AssumptionKind.COLLISION, digest,
-                    self.table.by_bytes.get(digest), expected,
+                    self.table.get(digest), expected,
                     note="verify succeeded without a sanctioned derivation",
                 )
             self._note_unsanctioned(expected)
@@ -322,7 +311,7 @@ class CryptoState:
 
     def _post_op(self):
         self.wrapper_calls += 1
-        table_len, log_len = len(self.table.by_bytes), len(self.log._events)
+        table_len, log_len = len(self.table), len(self.log._events)
         if table_len < self._last_table_len or log_len < self._last_log_len:
             raise TableAuditError("state shrank")
         self._check(table_len - self._last_table_len)
@@ -336,9 +325,9 @@ class CryptoState:
         """Check log goodness, the table sizes, and the newest table entries.
 
         Dicts keep insertion order and registration never deletes, so the
-        entries added since the last audit are the tail of ``by_bytes``.
+        entries added since the last audit are the tail of ``table``.
         """
-        bb, bt = self.table.by_bytes, self.table.by_term
+        bb, bt = self.table, self.by_term
         if not self.log.good:
             raise TableAuditError("log lost goodness")
         if len(bb) != len(bt):
@@ -370,7 +359,7 @@ def initial_state(
     Every state made from it gets its own Log over the template's event and
     usage containers, which ``Log.add`` never mutates, with a copy of the
     template's level memo (the two tags), so what a run memoizes stays with
-    that run; its own copies of the two table dicts; and its own
+    that run; its own copies of the table and its inverse; and its own
     ``mac_fn``.  The wrapper-call count and the audit snapshot start where
     the template's ended.
     """
@@ -378,16 +367,13 @@ def initial_state(
     if template is None:
         template = _TEMPLATES[convention] = CryptoState(convention)
         for tag in (TAG_REQUEST, TAG_RESPONSE):
-            lit = Literal(tag)
-            template._log_add(New(lit, _GUESS))
-            template._register(tag, lit)
+            template._make_literal(tag, _GUESS)
         template._post_op()
-    tl, table = template.log, template.table
+    tl = template.log
     log = Log(tl._events, tl._usages, tl._responses, tl.good, tl.convention)
     log._memo = tl._memo.copy()
-    cs = CryptoState(
-        mac_fn=mac_fn, log=log, table=RepresentationTable(table.by_bytes, table.by_term),
-    )
+    cs = CryptoState(mac_fn=mac_fn, log=log)
+    cs.table, cs.by_term = template.table.copy(), template.by_term.copy()
     cs.wrapper_calls = template.wrapper_calls
     cs._last_table_len, cs._last_log_len = template._last_table_len, template._last_log_len
     return cs

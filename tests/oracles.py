@@ -332,7 +332,7 @@ def check_sound(protocol, result, oracle):
         assert verdict.detail == state.failures[0].kind.value
     assert weak_secrecy_violations(state.log) == []
     if oracle:
-        terms = state.table.by_term
+        terms = state.by_term
         truth = saturate(terms, state.log)
         for t in terms:
             for lv in (LOW, HIGH):

@@ -282,7 +282,7 @@ def test_criterion_07_full_state_audit_is_always_on():
 
     # the audit is a real check: a corrupted table trips it immediately
     cs = initial_state()
-    cs.table.by_bytes[b"evil"] = Literal(b"good")
+    cs.table[b"evil"] = Literal(b"good")
     with pytest.raises(TableAuditError):
         cs.w_to_string(b"poke")
     print(

@@ -1,5 +1,6 @@
 """Attack language: grammar items, round trips, interpreter semantics."""
 
+import gc
 import random
 import sys
 from pathlib import Path
@@ -34,6 +35,7 @@ from dymon import (
     run_attack,
     validate_attack,
 )
+from dymon import attacker
 from dymon.attacker import _OR_INTERFACE, _RPC_INTERFACE, _as_bytespub
 from dymon.dsl import AssignString, AttackProgram, Call, Decl
 from dymon.scripts import CORPUS, HONEST_DRIVERS
@@ -255,6 +257,28 @@ def test_run_accepts_text_or_parsed_program():
     assert a.state.log == b.state.log
 
 
+def test_a_program_parsed_by_the_run_is_freed_before_its_steps_run(monkeypatch):
+    # the steps are all a run needs; the statements would only take memory
+    marker = Decl("marker", ValueKind.STRING, 0)
+    alive = []
+    run = attacker._run
+
+    def counting(*args):
+        gc.collect()
+        alive.append(sum(
+            type(o) is AttackProgram and marker in o.statements for o in gc.get_objects()
+        ))
+        return run(*args)
+
+    monkeypatch.setattr(attacker, "_run", counting)
+    text = RPC_HONEST + 'let marker : string\nmarker = "m"\n'
+    held = parse_attack(text)
+    run_attack(held, "rpc-correct")  # the caller's program stays alive
+    del held
+    run_attack(text, "rpc-correct")
+    assert alive == [1, 0]
+
+
 _SESSION_OF_ALICE_AND_BOB = (
     'let a : string\na = "Alice"\nlet b : string\nb = "Bob"\n'
     "let x : bytespub\nx = att_toBytespub(a)\nlet y : bytespub\ny = att_toBytespub(b)\n"
@@ -347,7 +371,7 @@ def test_mac_chain_deeper_than_the_recursion_limit_runs_ok():
     r = run_attack(hmac_chain_program(depth), "rpc-correct", seed=0)
     assert r.verdict.kind is VerdictKind.OK
     assert r.state.failures == []
-    last = list(r.state.table.by_bytes.values())[-1]
+    last = list(r.state.table.values())[-1]
     assert render_term(last).count("Hmac(") == depth
 
 
@@ -360,7 +384,7 @@ def test_mac_over_a_deep_chain_after_a_new_word_runs_ok():
     )
     r = run_attack(program, "rpc-correct", seed=0)
     assert r.verdict.kind is VerdictKind.OK
-    z = list(r.state.table.by_bytes.values())[-1]
+    z = list(r.state.table.values())[-1]
     assert isinstance(z, Hmac) and render_term(z.msg).count("Hmac(") == 600
     assert level(Level.HIGH, z, r.state.log)
 
@@ -471,7 +495,7 @@ def test_held_bytespub_that_is_not_public_is_an_audit_error():
     assert _as_bytespub(rt, held) == held
     # corrupt the binding so the held bytes stand for a secret key
     key = cs.w_fresh(HmacKey(PresharedKey(Literal(b"A"), Literal(b"B"))), 16, rt.rand)
-    cs.table.by_bytes[held] = cs.term_of(key)
+    cs.table[held] = cs.term_of(key)
     with pytest.raises(TableAuditError):
         _as_bytespub(rt, held)
 
@@ -492,7 +516,7 @@ def test_every_bytespub_result_is_checked_public(fn, monkeypatch):
 
     def leak_a_secret(cs, *_):
         # the bytes of the session's preshared key, registered and not Low
-        secret = next(d for d, t in cs.table.by_bytes.items() if not level(Level.LOW, t, cs.log))
+        secret = next(d for d, t in cs.table.items() if not level(Level.LOW, t, cs.log))
         return shape(secret)
 
     monkeypatch.setattr(CryptoState, wrapper, leak_a_secret)

@@ -227,7 +227,7 @@ def test_dump_reads_back_to_the_same_levels(protocol, script, tmp_path, capsys):
     state = run_attack(Path(script).read_text(), protocol, seed=3).state
     loaded = _load_log(str(dump))
     table = json.loads(out)["table"]
-    terms = state.table.by_bytes.values()
+    terms = state.table.values()
     assert [entry["term"] for entry in table] == list(map(render_term, terms))
     for entry in table:
         t = parse_term(entry["term"])

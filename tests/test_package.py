@@ -15,7 +15,7 @@ _PUBLIC = {
     "EncodingError", "Event", "FAILED", "FuzzResult", "HONEST_DRIVERS", "Hmac",
     "HmacKey", "Initiator", "Level", "Literal", "Log", "MalformedPairError", "New",
     "OR_HONEST", "PROTOCOLS", "Pair", "PresharedKey", "PrincipalKey", "RPC_HONEST",
-    "RPC_SPLICE", "RandomSource", "RepresentationTable", "Request", "Responder",
+    "RPC_SPLICE", "RandomSource", "Request", "Responder",
     "Response", "RunResult", "Runtime", "SEnc", "SEncKey", "STANDARD", "SessionKey",
     "Signature", "TAG_REQUEST", "TAG_RESPONSE", "TableAuditError", "Term",
     "TermSyntaxError", "Usage", "ValueKind", "Verdict", "VerdictKind", "can_hmac",

@@ -97,8 +97,8 @@ def test_initial_state_agrees_with_a_state_built_from_scratch(convention):
         fast = initial_state(convention)
         assert list(fast.log) == list(slow.log)
         assert fast.log.convention == convention and fast.log.good
-        assert list(fast.table.by_bytes.items()) == list(slow.table.by_bytes.items())
-        assert list(fast.table.by_term.items()) == list(slow.table.by_term.items())
+        assert list(fast.table.items()) == list(slow.table.items())
+        assert list(fast.by_term.items()) == list(slow.by_term.items())
         assert fast.wrapper_calls == slow.wrapper_calls == 1
         assert (fast._last_table_len, fast._last_log_len) == (
             slow._last_table_len, slow._last_log_len,
@@ -111,8 +111,8 @@ def test_initial_states_share_no_table_and_keep_their_mac():
         return b"\x00"
 
     a, b = initial_state(), initial_state(mac_fn=stub)
-    assert a.table.by_bytes is not b.table.by_bytes
-    assert a.table.by_term is not b.table.by_term
+    assert a.table is not b.table
+    assert a.by_term is not b.by_term
     assert a.failures is not b.failures
     assert a.mac_fn is hmac_sha1 and b.mac_fn is stub
     a.w_to_string(b"only in a")
@@ -363,14 +363,14 @@ def test_log_event_refuses_new():
 
 def test_audit_rejects_hand_broken_table():
     cs = initial_state()
-    cs.table.by_bytes[b"evil"] = Literal(b"good")  # break transparency
+    cs.table[b"evil"] = Literal(b"good")  # break transparency
     with pytest.raises(TableAuditError):
         cs.w_to_string(b"poke")
 
 
 def test_audit_rejects_non_bijection():
     cs = initial_state()
-    cs.table.by_bytes[b"zz"] = Literal(b"zz")  # one-sided insert
+    cs.table[b"zz"] = Literal(b"zz")  # one-sided insert
     with pytest.raises(TableAuditError):
         cs.w_to_string(b"poke")
 
@@ -378,7 +378,7 @@ def test_audit_rejects_non_bijection():
 def test_audit_keeps_running_after_an_assumption_failure():
     cs = initial_state()
     cs._record_failure(AssumptionKind.LUCKY_GUESS, b"x", None, None)
-    cs.table.by_term[Literal(b"stray")] = b"stray"  # one-sided insert
+    cs.by_term[Literal(b"stray")] = b"stray"  # one-sided insert
     with pytest.raises(TableAuditError, match="disagree"):
         cs.w_to_string(b"poke")
 
@@ -397,16 +397,16 @@ def test_register_refuses_underivable_term():
 
 def test_audit_rejects_inconsistent_new_entry():
     cs = initial_state()
-    cs.table.by_bytes[b"zz"] = Literal(b"yy")  # both sides, not transparent
-    cs.table.by_term[Literal(b"yy")] = b"zz"
+    cs.table[b"zz"] = Literal(b"yy")  # both sides, not transparent
+    cs.by_term[Literal(b"yy")] = b"zz"
     with pytest.raises(TableAuditError, match="transparency"):
         cs.w_to_string(b"poke")
 
 
 def test_audit_rejects_new_entry_that_is_not_high():
     cs = initial_state()
-    cs.table.by_bytes[b"zz"] = Literal(b"zz")  # both sides, but never created
-    cs.table.by_term[Literal(b"zz")] = b"zz"
+    cs.table[b"zz"] = Literal(b"zz")  # both sides, but never created
+    cs.by_term[Literal(b"zz")] = b"zz"
     with pytest.raises(TableAuditError, match="not High"):
         cs.w_to_string(b"poke")
 
@@ -414,7 +414,7 @@ def test_audit_rejects_new_entry_that_is_not_high():
 def test_old_entry_edited_in_place_is_caught_by_the_rescan():
     cs = initial_state()
     cs.w_to_string(b"poke")
-    cs.table.by_term[Literal(TAG_RESPONSE)] = b"forged"
+    cs.by_term[Literal(TAG_RESPONSE)] = b"forged"
     cs.w_to_string(b"again")  # the per-call audit checks only new entries
     with pytest.raises(TableAuditError, match="bijection"):
         cs.rescan()
@@ -521,7 +521,7 @@ def test_old_entry_edited_mid_run_fails_the_run(monkeypatch, protocol, text):
     def corrupting(self):
         incremental(self)
         if self.wrapper_calls == 3:
-            self.table.by_term[Literal(TAG_RESPONSE)] = b"forged"
+            self.by_term[Literal(TAG_RESPONSE)] = b"forged"
 
     def recorded(self):
         reached.append(self.wrapper_calls)
@@ -545,7 +545,7 @@ def test_dump_shape():
     assert "response_binds_request" not in doc and "table_size" not in doc
     assert any("New" in e for e in doc["events"])
     table = [(bytes.fromhex(e["bytes"]), parse_term(e["term"])) for e in doc["table"]]
-    assert table == list(cs.table.by_bytes.items())
+    assert table == list(cs.table.items())
     [failure] = doc["assumption_failures"]
     assert failure["kind"] == "lucky-guess" and failure["bytes"] == key.hex()
     assert failure["existing"] == render_term(Literal(key)) and failure["attempted"] is None
